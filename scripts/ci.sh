@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: the tier-1 verify line, then sanitizer builds of the
+# CI entry point: the tier-1 verify line (plus the src/ code-line count,
+# scripts/loc.sh), then sanitizer builds of the
 # test suite (ASan+UBSan with an end-to-end starringd/starring-cli
 # service smoke, and TSan for the worker pool), then a Release-mode
 # bench smoke diffed against the committed baseline artifact with
@@ -578,6 +579,8 @@ if [[ "$run_tier1" == 1 ]]; then
   cmake -B build -S .
   cmake --build build -j "$JOBS"
   (cd build && ctest --output-on-failure -j "$JOBS")
+  echo "== tier-1: code lines under src/ (ROADMAP item 5) =="
+  scripts/loc.sh
 fi
 
 if [[ "$run_san" == 1 ]]; then

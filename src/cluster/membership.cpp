@@ -1,10 +1,6 @@
 #include "cluster/membership.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -382,19 +378,12 @@ bool MembershipAgent::join(const std::string& seed_addr, int attempts) {
       std::this_thread::sleep_for(std::chrono::milliseconds(250));
     const auto ep = net::parse_endpoint(seed_addr);
     if (!ep) return false;
-    const int fd = net::connect_endpoint(*ep, /*nonblocking=*/true);
-    if (fd < 0) continue;
-    net::FdInBuf inbuf(fd, table_.options().probe_timeout_ms * 4);
-    net::FdOutBuf outbuf(fd, table_.options().probe_timeout_ms * 4, nullptr);
-    std::istream is(&inbuf);
-    std::ostream os(&outbuf);
-    GossipMessage msg = make_message(GossipMessage::Kind::kJoin);
-    if (!write_gossip(os, msg) || !os.flush()) {
-      ::close(fd);
-      continue;
-    }
-    auto snap = read_membership(is);
-    ::close(fd);
+    const int timeout_ms = table_.options().probe_timeout_ms * 4;
+    net::ClientConn conn(*ep, timeout_ms, timeout_ms);
+    if (!conn.ok()) continue;
+    const GossipMessage msg = make_message(GossipMessage::Kind::kJoin);
+    if (!write_gossip(conn.out, msg) || !conn.out.flush()) continue;
+    auto snap = read_membership(conn.in);
     if (!snap) continue;
     std::unique_lock<std::mutex> lock(mu_);
     table_.absorb(*snap, Clock::now());
@@ -403,6 +392,25 @@ bool MembershipAgent::join(const std::string& seed_addr, int attempts) {
     return true;
   }
   return false;
+}
+
+std::unique_ptr<MembershipAgent> bootstrap_agent(
+    int shard_id, int port, const MembershipOptions& opts,
+    const ShardMap* map, const std::string& join_addr) {
+  MemberRecord self;
+  self.shard_id = shard_id;
+  self.incarnation = 1;
+  const ShardInfo* listed = map != nullptr ? map->find(shard_id) : nullptr;
+  self.addr = listed != nullptr ? net::to_string(listed->endpoint)
+                                : "127.0.0.1:" + std::to_string(port);
+  auto agent = std::make_unique<MembershipAgent>(self, opts);
+  if (map != nullptr)
+    agent->bootstrap_from_map(*map);
+  else if (join_addr.empty())
+    agent->bootstrap_single();
+  else if (!agent->join(join_addr))
+    return nullptr;
+  return agent;
 }
 
 void MembershipAgent::on_map_change(MapCallback cb) {
@@ -538,16 +546,10 @@ std::optional<GossipMessage> MembershipAgent::exchange(
   const auto ep = net::parse_endpoint(addr);
   if (!ep) return std::nullopt;
   const int timeout_ms = table_.options().probe_timeout_ms;
-  const int fd = net::connect_endpoint(*ep, /*nonblocking=*/true);
-  if (fd < 0) return std::nullopt;
-  net::FdInBuf inbuf(fd, timeout_ms);
-  net::FdOutBuf outbuf(fd, timeout_ms, nullptr);
-  std::istream is(&inbuf);
-  std::ostream os(&outbuf);
-  std::optional<GossipMessage> reply;
-  if (write_gossip(os, msg) && os.flush()) reply = read_gossip(is);
-  ::close(fd);
-  return reply;
+  net::ClientConn conn(*ep, timeout_ms, timeout_ms);
+  if (!conn.ok() || !write_gossip(conn.out, msg) || !conn.out.flush())
+    return std::nullopt;
+  return read_gossip(conn.in);
 }
 
 void MembershipAgent::probe_round() {

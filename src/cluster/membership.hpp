@@ -217,8 +217,9 @@ class MembershipTable {
 ///
 /// Failpoints: `gossip.probe` suppresses outbound probe rounds (the
 /// silent-sender half of a partition), `gossip.ack` is evaluated by
-/// the *server* side before answering gossip (the dropped-ack half) —
-/// both used by the chaos gossip-partition scenario.  `cluster.handoff`
+/// the server loop's command table after handle() (the dropped-ack
+/// half: the reply is dropped and the connection closed) — both used
+/// by the chaos gossip-partition scenario.  `cluster.handoff`
 /// lives in the proxy's seeder, not here.
 class MembershipAgent {
  public:
@@ -293,5 +294,16 @@ class MembershipAgent {
   std::atomic<bool> left_{false};
   std::size_t rr_cursor_ = 0;  // round-robin position over targets
 };
+
+/// Build and bootstrap the agent of a process listening on
+/// 127.0.0.1:`port` under identity `shard_id` (-1: an observer such as
+/// the proxy).  The source is `map` when non-null (self's address is
+/// the map's entry for shard_id when it lists one), else a join through
+/// `join_addr` when non-empty, else a brand-new single-member cluster.
+/// Null when the join fails.  The caller registers its map callback,
+/// then calls start().
+std::unique_ptr<MembershipAgent> bootstrap_agent(
+    int shard_id, int port, const MembershipOptions& opts,
+    const ShardMap* map, const std::string& join_addr);
 
 }  // namespace starring::cluster

@@ -37,14 +37,13 @@
 // so N shards never land on one tick and a slow shard cannot delay
 // detection of the others in its round.
 //
-// The proxy answers STATS (its own cluster.* registry, including
-// per-shard latency histograms cluster.shard.<id>.latency.*), PING,
-// FAIL (local failpoints: proxy.forward fails a request before any
-// forward, proxy.upstream fails individual forward attempts — the
-// chaos tests storm these), and HEALTH (shard -1, the map's epoch).
-// Client-side transport, accept hardening, and drain semantics match
-// starringd (util/net.hpp).
-#include <sys/socket.h>
+// The proxy serves clients through the one server loop it shares with
+// starringd (cluster/server.hpp), with its own command table: STATS is
+// its cluster.* registry (including per-shard latency histograms
+// cluster.shard.<id>.latency.*), FAIL arms local failpoints
+// (proxy.forward fails a request before any forward, proxy.upstream
+// fails individual forward attempts — the chaos tests storm these),
+// and HEALTH reports shard -1 at the map's epoch.
 #include <unistd.h>
 
 #include <algorithm>
@@ -64,7 +63,6 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <poll.h>
 #include <random>
 #include <sstream>
 #include <string>
@@ -74,10 +72,10 @@
 
 #include "cluster/membership.hpp"
 #include "cluster/router.hpp"
+#include "cluster/server.hpp"
 #include "cluster/shard_map.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "service/canonical.hpp"
 #include "util/failpoint.hpp"
@@ -87,40 +85,26 @@
 namespace starring::cluster {
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
-
-// Process start, for the proxy's own HEALTH uptime_ms.
-const std::chrono::steady_clock::time_point g_start =
-    std::chrono::steady_clock::now();
-
-const char* status_name(ServiceStatus s) {
-  switch (s) {
-    case ServiceStatus::kOk: return "ok";
-    case ServiceStatus::kError: return "error";
-    case ServiceStatus::kRejected: return "rejected";
-    case ServiceStatus::kTimeout: return "timeout";
-    case ServiceStatus::kThrottled: return "throttled";
-  }
-  return "?";
-}
+// Set by SIGINT/SIGTERM or a LEAVE command.  A lock-free atomic is
+// safe to store from a signal handler.
+std::atomic<bool> g_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
+void on_signal(int) { g_stop.store(true); }
 
 struct ProxyConfig {
   std::string shard_map_path;
   /// Non-empty: bootstrap by joining this cluster member instead of
   /// reading a map file (mutually exclusive with --shard-map).
   std::string join_addr;
-  /// SWIM tuning, forwarded to MembershipOptions.
-  int gossip_interval_ms = 250;
-  int suspicion_timeout_ms = 1500;
+  /// SWIM tuning (--gossip-interval-ms, --suspicion-timeout-ms).
+  MembershipOptions membership;
   int listen_port = -1;
-  int max_conns = 64;
-  int write_timeout_ms = 5000;
+  /// --max-conns, --write-timeout-ms, --drain-timeout-ms.
+  AcceptorOptions server{"starring-proxy"};
   /// Budget for one upstream exchange (connect + request + response);
   /// a shard that cannot answer within it counts as failed and the
   /// request fails over.
   int upstream_timeout_ms = 10000;
-  int drain_timeout_ms = 10000;
   /// Health-poll period; 0 disables the poller (data-path failures
   /// still drive the breakers).
   int health_interval_ms = 1000;
@@ -139,26 +123,6 @@ struct ProxyConfig {
   std::string trace_out;
 };
 
-/// One cached upstream connection (blocking-looking iostreams over a
-/// non-blocking fd with bounded reads/writes).
-struct UpstreamConn {
-  int fd;
-  net::FdInBuf in_buf;
-  net::FdOutBuf out_buf;
-  std::istream in;
-  std::ostream out;
-
-  UpstreamConn(int fd_, int read_timeout_ms, int write_timeout_ms)
-      : fd(fd_),
-        in_buf(fd_, read_timeout_ms),
-        out_buf(fd_, write_timeout_ms, nullptr),
-        in(&in_buf),
-        out(&out_buf) {}
-  ~UpstreamConn() { ::close(fd); }
-  UpstreamConn(const UpstreamConn&) = delete;
-  UpstreamConn& operator=(const UpstreamConn&) = delete;
-};
-
 /// Per-client-thread pool of upstream connections, one per shard,
 /// created lazily and dropped on any failure (the next attempt
 /// reconnects).  Not shared across client threads: each gets its own
@@ -175,8 +139,8 @@ class UpstreamPool {
   /// `created`, when non-null, reports whether this call had to dial a
   /// fresh connection (the tracer gives only those an upstream_connect
   /// span).
-  UpstreamConn* get(const ShardMap& map, int shard_id,
-                    bool* created = nullptr) {
+  net::ClientConn* get(const ShardMap& map, int shard_id,
+                       bool* created = nullptr) {
     if (created != nullptr) *created = false;
     const ShardInfo* info = map.find(shard_id);
     if (info == nullptr) return nullptr;
@@ -186,11 +150,10 @@ class UpstreamPool {
       if (it->second.endpoint == ep) return it->second.conn.get();
       conns_.erase(it);  // shard id reborn elsewhere
     }
-    const int fd = net::connect_endpoint(info->endpoint, /*nonblocking=*/true);
-    if (fd < 0) return nullptr;
-    auto conn = std::make_unique<UpstreamConn>(fd, read_timeout_ms_,
-                                               write_timeout_ms_);
-    UpstreamConn* raw = conn.get();
+    auto conn = std::make_unique<net::ClientConn>(
+        info->endpoint, read_timeout_ms_, write_timeout_ms_);
+    if (!conn->ok()) return nullptr;
+    net::ClientConn* raw = conn.get();
     conns_[shard_id] = Slot{ep, std::move(conn)};
     if (created != nullptr) *created = true;
     return raw;
@@ -201,7 +164,7 @@ class UpstreamPool {
  private:
   struct Slot {
     std::string endpoint;
-    std::unique_ptr<UpstreamConn> conn;
+    std::unique_ptr<net::ClientConn> conn;
   };
 
   int read_timeout_ms_;
@@ -359,23 +322,14 @@ class Seeder {
     const std::shared_ptr<const ShardMap> map = router_.map();
     const ShardInfo* info = map->find(shard_id);
     if (info == nullptr) return;
-    const int fd = net::connect_endpoint(info->endpoint, /*nonblocking=*/true);
-    if (fd < 0) {
-      obs::counter("cluster.seed_failures").add();
-      return;
-    }
-    UpstreamConn conn(fd, timeout_ms_, timeout_ms_);
-    ServiceRequest seed;
-    seed.kind = RequestKind::kSeed;
-    seed.n = job.n;
-    seed.seed_key = job.key;
-    seed.seed_ring = job.ring;
-    write_request(conn.out, seed);
-    conn.out.flush();
+    net::ClientConn conn(info->endpoint, timeout_ms_, timeout_ms_);
     std::string line;
     std::string word;
-    if (conn.out.good() && (conn.in >> word >> line) && word == "SEED" &&
-        line == "ok") {
+    if (conn.send({.kind = RequestKind::kSeed,
+                   .n = job.n,
+                   .seed_key = job.key,
+                   .seed_ring = job.ring}) &&
+        (conn.in >> word >> line) && word == "SEED" && line == "ok") {
       obs::counter("cluster.seeds_sent").add();
     } else {
       obs::counter("cluster.seed_failures").add();
@@ -558,11 +512,7 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
   }
 
   const auto fail_with = [&](ServiceStatus status, const char* reason) {
-    ServiceResponse r;
-    r.id = req.id;
-    r.status = status;
-    r.reason = reason;
-    return r;
+    return ServiceResponse{.id = req.id, .status = status, .reason = reason};
   };
 
   if (FAILPOINT("proxy.forward"))
@@ -623,7 +573,7 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
     }
     bool fresh = false;
     const auto conn_t0 = std::chrono::steady_clock::now();
-    UpstreamConn* conn = pool.get(*map, sid, &fresh);
+    net::ClientConn* conn = pool.get(*map, sid, &fresh);
     if (fresh && fspan.context().valid())
       obs::trace::emit("proxy.upstream_connect",
                        fspan.context().trace_id, obs::trace::new_span_id(),
@@ -649,9 +599,7 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
       fwd_storage.parent_span_id = fspan.context().span_id;
       fwd = &fwd_storage;
     }
-    write_request(conn->out, *fwd);
-    conn->out.flush();
-    if (!conn->out.good()) {
+    if (!conn->send(*fwd)) {
       pool.drop(sid);
       ctx.router.record_failure(sid, ShardRouter::Clock::now());
       obs::counter("cluster.write_failures").add();
@@ -712,158 +660,53 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
 
 // --- client side ------------------------------------------------------
 
-/// Serve one client connection: requests are handled serially (the
-/// proxy holds no embedding state, so per-request concurrency belongs
-/// to the client opening more connections, which is what starring-load
-/// does — one per tenant).
-void serve_client(int fd, ProxyCtx& ctx, net::ConnRegistry& reg) {
-  std::atomic<bool> dead{false};
-  net::FdInBuf in_buf(fd);
-  net::FdOutBuf out_buf(fd, ctx.cfg.write_timeout_ms, &dead);
-  std::istream in(&in_buf);
-  std::ostream out(&out_buf);
-  UpstreamPool pool(ctx.cfg.upstream_timeout_ms, ctx.cfg.write_timeout_ms);
-
-  std::string err;
-  while (!dead.load(std::memory_order_relaxed)) {
-    auto req = read_request(in, &err);
-    if (!req) {
-      if (!err.empty() && !dead.load(std::memory_order_relaxed)) {
-        ServiceResponse bad;
-        bad.status = ServiceStatus::kError;
-        bad.reason = "parse: " + err;
-        write_response(out, bad);
-        out.flush();
-      }
-      break;
-    }
-    if (req->kind == RequestKind::kStats) {
-      write_stats(out, obs::render_prometheus());
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kPing) {
-      out << "PONG\n";
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kFail) {
-      std::string why;
-      const bool ok = failpoint::set(req->fail_config, &why);
-      if (ok)
-        out << "FAIL ok\n";
-      else
-        out << "FAIL bad "
-            << (why.empty() ? std::string("failpoints unavailable") : why)
-            << "\n";
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kHealth) {
-      HealthInfo h;
-      h.shard_id = -1;  // a router, not a shard
-      h.epoch = ctx.router.map()->epoch();
-      h.cache_entries = 0;
-      h.cache_hits = static_cast<std::uint64_t>(
-          obs::counter("cluster.cache_hits").value());
-      h.cache_misses = static_cast<std::uint64_t>(
-          obs::counter("cluster.cache_misses").value());
-      h.uptime_ms = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - g_start)
-              .count());
-      const std::int64_t inflight =
-          ctx.inflight.load(std::memory_order_relaxed);
-      h.inflight = inflight > 0 ? static_cast<std::uint64_t>(inflight) : 0;
-      write_health(out, h);
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kSeed) {
-      out << "SEED bad proxy is not a shard\n";
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kGossip) {
-      const MembershipAgent::Reply reply = ctx.agent->handle(*req->gossip);
-      if (FAILPOINT("gossip.ack")) {
-        // Server-side partition half: updates were merged, but the
-        // peer hears nothing and starts suspecting us.
-        obs::counter("cluster.membership.acks_dropped").add();
-        break;  // drop the connection too — a silent peer, not a slow one
-      }
-      if (reply.snapshot)
-        write_membership(out, *reply.snapshot);
-      else if (reply.ack)
-        write_gossip(out, *reply.ack);
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kMembers) {
-      write_membership(out, ctx.agent->membership());
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kLeave) {
-      out << "LEAVE ok\n";
-      out.flush();
-      // Announce departure to the cluster, then stop accepting: the
-      // main loop's drain handles in-flight work.  Detached because
-      // leave() dials every peer and must not block this client read
-      // loop's connection teardown.
-      std::thread([&ctx] {
-        ctx.agent->leave();
-        g_stop = 1;
-      }).detach();
-      continue;
-    }
-    if (req->kind == RequestKind::kTrace) {
-      TraceDump d;
-      d.process = "proxy";
-      d.epoch_ns = obs::trace::epoch_ns();
-      d.dropped = obs::trace::stats().dropped;
-      d.spans = obs::trace::collect();
-      write_trace(out, d);
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kSlow) {
-      write_stats(out, ctx.slow ? ctx.slow->render()
-                                : "# slow-request recorder off\n");
-      out.flush();
-      continue;
-    }
-    ForwardReport frep;
-    const auto req_t0 = std::chrono::steady_clock::now();
-    const ServiceResponse resp =
-        forward_embed(*req, ctx, pool, ctx.slow ? &frep : nullptr);
-    if (ctx.slow) {
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - req_t0)
-                            .count();
-      if (ms >= static_cast<double>(ctx.cfg.slow_ms))
-        ctx.slow->note(*req, resp, frep, ms);
-    }
-    if (!dead.load(std::memory_order_relaxed)) {
-      write_response(out, resp);
-      out.flush();
-    }
-  }
-  reg.remove(fd);
-  ::close(fd);
+/// Embed hook for one client connection: requests are forwarded
+/// serially (the proxy holds no embedding state, so per-request
+/// concurrency belongs to the client opening more connections, which is
+/// what starring-load does — one per tenant).
+void serve_client(TcpConn& conn, ProxyCtx& ctx, const CommandTable& table) {
+  UpstreamPool pool(ctx.cfg.upstream_timeout_ms,
+                    ctx.cfg.server.write_timeout_ms);
+  serve_requests(
+      conn.in, conn.out, conn.out_mu, conn.dead, table,
+      [&](ServiceRequest& req) {
+        ForwardReport frep;
+        const auto req_t0 = std::chrono::steady_clock::now();
+        const ServiceResponse resp =
+            forward_embed(req, ctx, pool, ctx.slow ? &frep : nullptr);
+        if (ctx.slow) {
+          const double ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - req_t0)
+                                .count();
+          if (ms >= static_cast<double>(ctx.cfg.slow_ms))
+            ctx.slow->note(req, resp, frep, ms);
+        }
+        conn.send(resp);
+      });
 }
 
-/// Over the connection cap: one `status rejected` response, then close.
-void refuse_connection(int fd) {
-  obs::counter("svc.rejected_conns").add();
-  net::FdOutBuf out_buf(fd, /*write_timeout_ms=*/1000, nullptr);
-  std::ostream out(&out_buf);
-  ServiceResponse rej;
-  rej.status = ServiceStatus::kRejected;
-  rej.reason = "connection limit";
-  write_response(out, rej);
-  out.flush();
-  ::close(fd);
+/// The proxy's answers to the out-of-band commands.
+CommandTable proxy_commands(ProxyCtx& ctx) {
+  CommandTable table;
+  table.health = [&ctx] {
+    const std::int64_t inflight = ctx.inflight.load(std::memory_order_relaxed);
+    return HealthInfo{
+        .shard_id = -1,  // a router, not a shard
+        .epoch = ctx.router.map()->epoch(),
+        .cache_hits = static_cast<std::uint64_t>(
+            obs::counter("cluster.cache_hits").value()),
+        .cache_misses = static_cast<std::uint64_t>(
+            obs::counter("cluster.cache_misses").value()),
+        .inflight = inflight > 0 ? static_cast<std::uint64_t>(inflight) : 0};
+  };
+  table.trace_process = "proxy";
+  table.slow_report = [&ctx] {
+    return ctx.slow ? ctx.slow->render()
+                    : std::string("# slow-request recorder off\n");
+  };
+  table.agent = ctx.agent.get();
+  table.stop = &g_stop;
+  return table;
 }
 
 /// Poll every shard's HEALTH: trip the breaker of a shard that cannot
@@ -904,17 +747,11 @@ void health_loop(ProxyCtx& ctx, std::atomic<bool>& stop) {
       slot->second = now + std::chrono::duration_cast<Clock::duration>(
                                interval * (0.75 + 0.5 * uni(rng)));
       bool alive = false;
-      const int fd = net::connect_endpoint(s.endpoint, /*nonblocking=*/true);
-      if (fd >= 0) {
-        // Health probes get a short budget of their own: a wedged
-        // shard should trip its breaker well within the poll period.
-        const int budget =
-            std::max(100, ctx.cfg.health_interval_ms / 2);
-        UpstreamConn conn(fd, budget, budget);
-        ServiceRequest probe;
-        probe.kind = RequestKind::kHealth;
-        write_request(conn.out, probe);
-        conn.out.flush();
+      // Health probes get a short budget of their own: a wedged shard
+      // should trip its breaker well within the poll period.
+      const int budget = std::max(100, ctx.cfg.health_interval_ms / 2);
+      net::ClientConn conn(s.endpoint, budget, budget);
+      if (conn.send({.kind = RequestKind::kHealth})) {
         if (const auto h = read_health(conn.in)) {
           // Identity check is id-only: under live membership, epochs
           // are eventually consistent across members, so a transient
@@ -973,57 +810,43 @@ void health_loop(ProxyCtx& ctx, std::atomic<bool>& stop) {
 // --- main -------------------------------------------------------------
 
 int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " (--shard-map FILE | --join HOST:PORT) --listen PORT [options]\n"
-      << "  --shard-map FILE       static bootstrap membership "
-         "(starring-shard-map v1)\n"
-      << "  --join HOST:PORT       join a running cluster member instead "
-         "of a map\n"
-      << "                         file (gossip adopts its snapshot)\n"
-      << "  --gossip-interval-ms N SWIM probe period (default 250)\n"
-      << "  --suspicion-timeout-ms N  silence before a suspect is "
-         "declared dead\n"
-      << "                         (default 1500)\n"
-      << "  --listen PORT          serve TCP on 127.0.0.1:PORT (0 = "
-         "kernel-assigned,\n"
-      << "                         printed on stderr)\n"
-      << "  --max-conns N          concurrent client connections "
-         "(default 64)\n"
-      << "  --write-timeout-ms N   evict a client that cannot drain its "
-         "socket\n"
-      << "                         (default 5000)\n"
-      << "  --upstream-timeout-ms N  budget for one shard exchange; "
-         "overrun\n"
-      << "                         counts as failure and fails over "
-         "(default 10000)\n"
-      << "  --health-interval-ms N HEALTH poll period, 0 = off "
-         "(default 1000)\n"
-      << "  --seed-threshold N     ok responses of a class before its "
-         "ring is\n"
-      << "                         replicated, 0 = off (default 3)\n"
-      << "  --drain-timeout-ms N   abort if shutdown drain exceeds N ms\n"
-      << "                         (default 10000)\n"
-      << "  --bench-artifact S     write BENCH_<S>.json on clean drain\n"
-      << "  --slow-ms N            record requests slower than N ms in "
-         "the\n"
-      << "                         flight recorder, 0 = off (default 0)\n"
-      << "  --slow-keep K          flight-recorder capacity (default 32)\n"
-      << "  --trace-out FILE       enable tracing; on clean exit pull "
-         "every\n"
-      << "                         live shard's spans and write one "
-         "merged\n"
-      << "                         Chrome/Perfetto trace to FILE\n";
+  std::cerr << "usage: " << argv0
+            << " (--shard-map FILE | --join HOST:PORT) --listen PORT "
+               "[options]"
+            << R"(
+  --shard-map FILE       static bootstrap membership (starring-shard-map v1)
+  --join HOST:PORT       join a running cluster member instead of a map
+                         file (gossip adopts its snapshot)
+  --gossip-interval-ms N SWIM probe period (default 250)
+  --suspicion-timeout-ms N  silence before a suspect is declared dead
+                         (default 1500)
+  --listen PORT          serve TCP on 127.0.0.1:PORT (0 = kernel-assigned,
+                         printed on stderr)
+  --max-conns N          concurrent client connections (default 64)
+  --write-timeout-ms N   evict a client that cannot drain its socket
+                         (default 5000)
+  --upstream-timeout-ms N  budget for one shard exchange; overrun
+                         counts as failure and fails over (default 10000)
+  --health-interval-ms N HEALTH poll period, 0 = off (default 1000)
+  --seed-threshold N     ok responses of a class before its ring is
+                         replicated, 0 = off (default 3)
+  --drain-timeout-ms N   abort if shutdown drain exceeds N ms
+                         (default 10000)
+  --bench-artifact S     write BENCH_<S>.json on clean drain
+  --slow-ms N            record requests slower than N ms in the
+                         flight recorder, 0 = off (default 0)
+  --slow-keep K          flight-recorder capacity (default 32)
+  --trace-out FILE       enable tracing; on clean exit pull every
+                         live shard's spans and write one merged
+                         Chrome/Perfetto trace to FILE
+)";
   return 2;
 }
 
 std::optional<ProxyConfig> parse_args(int argc, char** argv) {
   ProxyConfig cfg;
   bool saw_listen = false;
-  const auto num = [&](int* i) -> long {
-    if (*i + 1 >= argc) return -1;
-    return std::atol(argv[++*i]);
-  };
+  const auto num = [&](int* i) { return int_arg(argc, argv, i); };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     long v = 0;
@@ -1032,16 +855,16 @@ std::optional<ProxyConfig> parse_args(int argc, char** argv) {
     } else if (a == "--join" && i + 1 < argc) {
       cfg.join_addr = argv[++i];
     } else if (a == "--gossip-interval-ms" && (v = num(&i)) > 0) {
-      cfg.gossip_interval_ms = static_cast<int>(v);
+      cfg.membership.probe_interval_ms = static_cast<int>(v);
     } else if (a == "--suspicion-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.suspicion_timeout_ms = static_cast<int>(v);
+      cfg.membership.suspicion_timeout_ms = static_cast<int>(v);
     } else if (a == "--listen" && (v = num(&i)) >= 0 && v < 65536) {
       cfg.listen_port = static_cast<int>(v);
       saw_listen = true;
     } else if (a == "--max-conns" && (v = num(&i)) > 0) {
-      cfg.max_conns = static_cast<int>(v);
+      cfg.server.max_conns = static_cast<int>(v);
     } else if (a == "--write-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.write_timeout_ms = static_cast<int>(v);
+      cfg.server.write_timeout_ms = static_cast<int>(v);
     } else if (a == "--upstream-timeout-ms" && (v = num(&i)) > 0) {
       cfg.upstream_timeout_ms = static_cast<int>(v);
     } else if (a == "--health-interval-ms" && (v = num(&i)) >= 0) {
@@ -1049,7 +872,7 @@ std::optional<ProxyConfig> parse_args(int argc, char** argv) {
     } else if (a == "--seed-threshold" && (v = num(&i)) >= 0) {
       cfg.seed_threshold = static_cast<int>(v);
     } else if (a == "--drain-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.drain_timeout_ms = static_cast<int>(v);
+      cfg.server.drain_timeout_ms = static_cast<int>(v);
     } else if (a == "--bench-artifact" && i + 1 < argc) {
       cfg.bench_artifact = argv[++i];
     } else if (a == "--slow-ms" && (v = num(&i)) >= 0) {
@@ -1095,23 +918,17 @@ int proxy_main(int argc, char** argv) {
   std::cerr << "starring-proxy: listening on 127.0.0.1:" << actual_port
             << "\n";
 
-  MemberRecord self;
-  self.addr = "127.0.0.1:" + std::to_string(actual_port);
-  self.shard_id = -1;  // observer: routes, never owns ring points
-  self.incarnation = 1;
-  MembershipOptions mopts;
-  mopts.probe_interval_ms = cfg->gossip_interval_ms;
-  mopts.suspicion_timeout_ms = cfg->suspicion_timeout_ms;
-  auto agent = std::make_unique<MembershipAgent>(self, mopts);
-  if (!cfg->shard_map_path.empty()) {
-    auto map = ShardMap::load(cfg->shard_map_path, &err);
-    if (!map) {
-      std::cerr << "starring-proxy: bad shard map: " << err << "\n";
-      ::close(listen_fd);
-      return 1;
-    }
-    agent->bootstrap_from_map(*map);
-  } else if (!agent->join(cfg->join_addr)) {
+  std::optional<ShardMap> map;
+  if (!cfg->shard_map_path.empty() &&
+      !(map = ShardMap::load(cfg->shard_map_path, &err))) {
+    std::cerr << "starring-proxy: bad shard map: " << err << "\n";
+    ::close(listen_fd);
+    return 1;
+  }
+  // Observer identity (shard -1): routes, never owns ring points.
+  auto agent = bootstrap_agent(-1, actual_port, cfg->membership,
+                               map ? &*map : nullptr, cfg->join_addr);
+  if (!agent) {
     std::cerr << "starring-proxy: failed to join cluster via "
               << cfg->join_addr << "\n";
     ::close(listen_fd);
@@ -1148,37 +965,12 @@ int proxy_main(int argc, char** argv) {
   if (cfg->health_interval_ms > 0)
     health = std::thread([&] { health_loop(ctx, health_stop); });
 
-  net::ConnRegistry reg;
-  obs::Counter& accept_errors = obs::counter("svc.accept_errors");
-  while (g_stop == 0) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int r = ::poll(&pfd, 1, 200 /*ms*/);
-    if (r <= 0) continue;  // timeout or EINTR: re-check g_stop
-    const int fd =
-        net::accept_transient(listen_fd, "starring-proxy", accept_errors);
-    if (fd < 0) continue;
-    if (reg.count() >= static_cast<std::size_t>(cfg->max_conns)) {
-      refuse_connection(fd);
-      continue;
-    }
-    if (!net::set_nonblocking(fd)) {
-      ::close(fd);
-      continue;
-    }
-    reg.add(fd);
-    std::thread([fd, &ctx, &reg] { serve_client(fd, ctx, reg); }).detach();
-  }
-  ::close(listen_fd);
-
-  net::DrainGuard drain_guard(cfg->drain_timeout_ms);
-  reg.shutdown_all(SHUT_RD);
-  if (!reg.wait_empty(cfg->drain_timeout_ms / 2)) {
-    reg.shutdown_all(SHUT_RDWR);
-    if (!reg.wait_empty(cfg->drain_timeout_ms / 4)) {
-      std::cerr << "starring-proxy: connections failed to drain, aborting\n";
-      std::_Exit(1);
-    }
-  }
+  std::optional<net::DrainGuard> drain_guard;
+  const CommandTable table = proxy_commands(ctx);
+  run_acceptor(
+      listen_fd, cfg->server, g_stop,
+      [&](TcpConn& conn) { serve_client(conn, ctx, table); },
+      [&] { drain_guard.emplace(cfg->server.drain_timeout_ms); });
   if (health.joinable()) {
     health_stop.store(true, std::memory_order_relaxed);
     health.join();
@@ -1197,27 +989,16 @@ int proxy_main(int argc, char** argv) {
     // must outlive the proxy for this to see their spans — the drill
     // stops the proxy first.
     std::vector<TraceDump> dumps;
-    TraceDump own;
-    own.process = "proxy";
-    own.epoch_ns = obs::trace::epoch_ns();
-    own.dropped = obs::trace::stats().dropped;
-    own.spans = obs::trace::collect();
-    dumps.push_back(std::move(own));
+    dumps.push_back(local_trace("proxy"));
     const std::shared_ptr<const ShardMap> final_map = ctx.router.map();
     for (const ShardInfo& s : final_map->shards()) {
-      const int fd =
-          net::connect_endpoint(s.endpoint, /*nonblocking=*/true);
-      if (fd < 0) {
+      net::ClientConn conn(s.endpoint, cfg->upstream_timeout_ms,
+                           cfg->server.write_timeout_ms);
+      if (!conn.send({.kind = RequestKind::kTrace})) {
         std::cerr << "starring-proxy: trace pull: shard " << s.id
                   << " unreachable, spans lost\n";
         continue;
       }
-      UpstreamConn conn(fd, cfg->upstream_timeout_ms,
-                        cfg->write_timeout_ms);
-      ServiceRequest pull;
-      pull.kind = RequestKind::kTrace;
-      write_request(conn.out, pull);
-      conn.out.flush();
       std::string trace_err;
       if (auto d = read_trace(conn.in, &trace_err)) {
         dumps.push_back(std::move(*d));
@@ -1241,14 +1022,7 @@ int proxy_main(int argc, char** argv) {
   }
   if (ctx.slow) std::cerr << ctx.slow->render();
 
-  if (rec) {
-    const double hits =
-        static_cast<double>(obs::counter("cluster.cache_hits").value());
-    const double misses =
-        static_cast<double>(obs::counter("cluster.cache_misses").value());
-    rec->add_counter("cluster.cache_hit_rate",
-                     hits + misses > 0 ? hits / (hits + misses) : 0.0);
-  }
+  if (rec) rec->add_hit_rate("cluster");
   return 0;
 }
 

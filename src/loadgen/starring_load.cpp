@@ -294,23 +294,9 @@ void run_tenant(const LoadConfig& cfg, const TenantSpec& spec,
 
 /// Scrape STATS on a fresh connection; returns the promtext or nullopt.
 std::optional<std::string> scrape_one(const net::Endpoint& ep) {
-  const int fd = net::connect_endpoint(ep);
-  if (fd < 0) return std::nullopt;
-  __gnu_cxx::stdio_filebuf<char> out_buf(::dup(fd), std::ios::out);
-  __gnu_cxx::stdio_filebuf<char> in_buf(fd, std::ios::in);
-  std::ostream out(&out_buf);
-  std::istream in(&in_buf);
-  ServiceRequest stats_req;
-  stats_req.kind = RequestKind::kStats;
-  if (!write_request(out, stats_req)) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  out.flush();
-  std::string err;
-  auto body = read_stats(in, &err);
-  ::shutdown(fd, SHUT_RDWR);
-  return body;
+  net::ClientConn conn(ep, /*read_timeout_ms=*/-1, /*write_timeout_ms=*/-1);
+  if (!conn.send({.kind = RequestKind::kStats})) return std::nullopt;
+  return read_stats(conn.in);
 }
 
 /// Scrape every distinct endpoint, concatenating the expositions under

@@ -96,6 +96,14 @@ void BenchRecorder::add_counter(const std::string& name, double value) {
   extra_.emplace_back(name, value);
 }
 
+void BenchRecorder::add_hit_rate(const std::string& area) {
+  const auto hits = static_cast<double>(counter(area + ".cache_hits").value());
+  const auto misses =
+      static_cast<double>(counter(area + ".cache_misses").value());
+  add_counter(area + ".cache_hit_rate",
+              hits + misses > 0 ? hits / (hits + misses) : 0.0);
+}
+
 BenchRecorder::~BenchRecorder() {
   BenchArtifact a;
   a.bench = bench_;

@@ -73,6 +73,11 @@ class BenchRecorder {
   /// Attach an extra scalar to the artifact's counters map.
   void add_counter(const std::string& name, double value);
 
+  /// Attach `<area>.cache_hit_rate`, derived from the `<area>.cache_hits`
+  /// and `<area>.cache_misses` counters (0 before any lookup) — the
+  /// serving daemons' headline cache figure.
+  void add_hit_rate(const std::string& area);
+
   /// Where the artifact will land.
   const std::string& path() const { return path_; }
 

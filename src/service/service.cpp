@@ -63,27 +63,19 @@ obs::Counter& c_throttled() {
 }
 
 ServiceResponse error_response(std::uint64_t id, std::string reason) {
-  ServiceResponse r;
-  r.id = id;
-  r.status = ServiceStatus::kError;
-  r.reason = std::move(reason);
-  return r;
+  return {
+      .id = id, .status = ServiceStatus::kError, .reason = std::move(reason)};
 }
 
 ServiceResponse timeout_response(std::uint64_t id, std::string reason) {
-  ServiceResponse r;
-  r.id = id;
-  r.status = ServiceStatus::kTimeout;
-  r.reason = std::move(reason);
-  return r;
+  return {
+      .id = id, .status = ServiceStatus::kTimeout, .reason = std::move(reason)};
 }
 
 ServiceResponse throttled_response(std::uint64_t id) {
-  ServiceResponse r;
-  r.id = id;
-  r.status = ServiceStatus::kThrottled;
-  r.reason = "tenant quota exhausted";
-  return r;
+  return {.id = id,
+          .status = ServiceStatus::kThrottled,
+          .reason = "tenant quota exhausted"};
 }
 
 }  // namespace

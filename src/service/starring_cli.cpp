@@ -287,9 +287,7 @@ int consume_responses(const CliConfig& cfg, std::istream& in,
 /// Returns 1 on a failed exchange.
 int fetch_and_report_stats(const CliConfig& cfg, std::ostream& out,
                            std::istream& in) {
-  ServiceRequest stats_req;
-  stats_req.kind = RequestKind::kStats;
-  if (!write_request(out, stats_req)) {
+  if (!write_request(out, {.kind = RequestKind::kStats})) {
     std::cerr << "starring-cli: cannot send STATS\n";
     return 1;
   }
@@ -334,9 +332,7 @@ int fetch_and_report_stats(const CliConfig& cfg, std::ostream& out,
 /// a bare shard (no proxy spans) the summary degenerates to a note.
 /// Returns 1 on a failed exchange — an empty dump is not a failure.
 int fetch_and_report_hops(std::ostream& out, std::istream& in) {
-  ServiceRequest pull;
-  pull.kind = RequestKind::kTrace;
-  if (!write_request(out, pull)) {
+  if (!write_request(out, {.kind = RequestKind::kTrace})) {
     std::cerr << "starring-cli: cannot send TRACE\n";
     return 1;
   }

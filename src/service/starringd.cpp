@@ -27,6 +27,10 @@
 // servicing it.  --max-conns caps concurrent connections; excess
 // accepts are answered `status rejected` and closed.
 //
+// All three serving paths (stdio, TCP, and starring-proxy's) run the
+// one server loop in cluster/server.hpp; this file supplies the shard's
+// command table and the per-transport embed hooks.
+//
 // Cluster membership (TCP + --shard-id only): the daemon runs a SWIM
 // gossip agent (cluster/membership.hpp) when started with --shard-map
 // (static bootstrap: every listed member is known at launch),
@@ -40,59 +44,45 @@
 // With --bench-artifact NAME the daemon enables the metrics layer and
 // writes BENCH_<NAME>.json (svc.* counters, latency histogram, cache
 // hit rate) to $STARRING_BENCH_DIR on clean drain.
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <atomic>
 #include <condition_variable>
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <iostream>
-#include <istream>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <atomic>
-
 #include "cluster/membership.hpp"
+#include "cluster/server.hpp"
 #include "cluster/shard_map.hpp"
 #include "core/oracle_store.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "service/service.hpp"
-#include "util/failpoint.hpp"
 #include "util/io.hpp"
 #include "util/net.hpp"
 
 namespace starring {
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
-
-// Process start, for HEALTH uptime_ms.  Static-initialized so the
-// number covers the whole process, not just time since first probe.
-const std::chrono::steady_clock::time_point g_start =
-    std::chrono::steady_clock::now();
+// Set by SIGINT/SIGTERM or a LEAVE command.  A lock-free atomic is
+// safe to store from a signal handler.
+std::atomic<bool> g_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
+void on_signal(int) { g_stop.store(true); }
 
 // SIGUSR1 asks for a flight-recorder dump without stopping the daemon;
 // a watcher thread does the actual file I/O (signal-safe handlers
 // cannot).
 volatile std::sig_atomic_t g_dump = 0;
 void on_dump_signal(int) { g_dump = 1; }
-
-// The fd <-> iostream glue, hardened accept, and drain scaffolding
-// used to live here file-locally; they moved to util/net.hpp when the
-// proxy and clients grew the same needs.
 
 struct DaemonConfig {
   ServiceOptions svc;
@@ -107,15 +97,14 @@ struct DaemonConfig {
   std::string join_addr;
   /// First member of a brand-new cluster (no map file, no seed).
   bool bootstrap = false;
-  /// SWIM tuning, forwarded to MembershipOptions.
-  int gossip_interval_ms = 250;
-  int suspicion_timeout_ms = 1500;
+  /// SWIM tuning (--gossip-interval-ms, --suspicion-timeout-ms).
+  cluster::MembershipOptions membership;
   /// Static map retained from --shard-map validation; seeds the gossip
   /// agent's initial member set.
   std::shared_ptr<cluster::ShardMap> static_map;
-  int max_conns = 64;
-  int write_timeout_ms = 5000;
-  int drain_timeout_ms = 10000;
+  /// --max-conns, --write-timeout-ms, --drain-timeout-ms (the last
+  /// also bounds a signal-initiated stdio drain).
+  cluster::AcceptorOptions server{"starringd"};
   std::string bench_artifact;
   std::string trace_out;  // non-empty: tracing on, dump here
   /// Tracing on without a local dump file: spans stay in the flight
@@ -137,75 +126,59 @@ void seed_service(EmbedService& svc, DaemonConfig& cfg) {
 }
 
 int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [options]\n"
-      << "  --queue-depth N      admission queue bound (default 256)\n"
-      << "  --batch-max N        max requests per batch (default 16)\n"
-      << "  --cache-capacity N   canonical embeddings kept (default 4096)\n"
-      << "  --verify-on-hit      re-verify relabeled cache hits\n"
-      << "  --tenant-rate R      per-tenant token-bucket refill, req/s\n"
-      << "                       (default 0 = quotas off)\n"
-      << "  --tenant-burst B     token-bucket depth (default: "
-         "max(1, R))\n"
-      << "  --drr-quantum N      requests per tenant per DRR visit at\n"
-      << "                       batch formation (default 1)\n"
-      << "  --threads N          embedding worker threads (0 = cores)\n"
-      << "  --listen PORT        serve TCP on 127.0.0.1:PORT (default: "
-         "stdio;\n"
-      << "                       0 = kernel-assigned, printed on "
-         "stderr)\n"
-      << "  --shard-id N         cluster identity, reported by HEALTH\n"
-      << "  --shard-map FILE     validate --shard-id against this map, "
-         "seed\n"
-      << "                       gossip membership from it (static "
-         "bootstrap)\n"
-      << "  --bootstrap          start a brand-new cluster with self as "
-         "the\n"
-      << "                       only member (TCP + --shard-id)\n"
-      << "  --join HOST:PORT     join a running cluster through this "
-         "member\n"
-      << "                       (TCP + --shard-id; adopts its snapshot)\n"
-      << "  --gossip-interval-ms N  SWIM probe period (default 250)\n"
-      << "  --suspicion-timeout-ms N  silence before a suspect is "
-         "declared\n"
-      << "                       dead (default 1500)\n"
-      << "  --max-conns N        concurrent TCP connections; excess "
-         "accepts\n"
-      << "                       are answered `status rejected` "
-         "(default 64)\n"
-      << "  --write-timeout-ms N evict a TCP client that cannot drain "
-         "its\n"
-      << "                       socket within N ms (default 5000)\n"
-      << "  --drain-timeout-ms N abort if shutdown drain exceeds N ms\n"
-      << "                       (default 10000)\n"
-      << "  --oracle-snapshot F  warm-start: seed the path-oracle memo "
-         "and\n"
-      << "                       canonical cache from this snapshot "
-         "file\n"
-      << "                       (written by `starring-cli warm`); a "
-         "bad\n"
-      << "                       snapshot is rejected and computation\n"
-      << "                       proceeds cold\n"
-      << "  --bench-artifact S   write BENCH_<S>.json on clean drain\n"
-      << "  --trace-out FILE     enable tracing; dump Chrome trace JSON\n"
-      << "                       on clean drain and on SIGUSR1\n"
-      << "  --trace              enable tracing without a local dump; "
-         "spans\n"
-      << "                       are served to the TRACE command (the\n"
-      << "                       proxy's merged cluster export)\n";
+  std::cerr << "usage: " << argv0 << " [options]" << R"(
+  --queue-depth N      admission queue bound (default 256)
+  --batch-max N        max requests per batch (default 16)
+  --cache-capacity N   canonical embeddings kept (default 4096)
+  --verify-on-hit      re-verify relabeled cache hits
+  --tenant-rate R      per-tenant token-bucket refill, req/s
+                       (default 0 = quotas off)
+  --tenant-burst B     token-bucket depth (default: max(1, R))
+  --drr-quantum N      requests per tenant per DRR visit at
+                       batch formation (default 1)
+  --threads N          embedding worker threads (0 = cores)
+  --listen PORT        serve TCP on 127.0.0.1:PORT (default: stdio;
+                       0 = kernel-assigned, printed on stderr)
+  --shard-id N         cluster identity, reported by HEALTH
+  --shard-map FILE     validate --shard-id against this map, seed
+                       gossip membership from it (static bootstrap)
+  --bootstrap          start a brand-new cluster with self as the
+                       only member (TCP + --shard-id)
+  --join HOST:PORT     join a running cluster through this member
+                       (TCP + --shard-id; adopts its snapshot)
+  --gossip-interval-ms N  SWIM probe period (default 250)
+  --suspicion-timeout-ms N  silence before a suspect is declared
+                       dead (default 1500)
+  --max-conns N        concurrent TCP connections; excess accepts
+                       are answered `status rejected` (default 64)
+  --write-timeout-ms N evict a TCP client that cannot drain its
+                       socket within N ms (default 5000)
+  --drain-timeout-ms N abort if shutdown drain exceeds N ms
+                       (default 10000)
+  --oracle-snapshot F  warm-start: seed the path-oracle memo and
+                       canonical cache from this snapshot file
+                       (written by `starring-cli warm`); a bad
+                       snapshot is rejected and computation
+                       proceeds cold
+  --bench-artifact S   write BENCH_<S>.json on clean drain
+  --trace-out FILE     enable tracing; dump Chrome trace JSON
+                       on clean drain and on SIGUSR1
+  --trace              enable tracing without a local dump; spans
+                       are served to the TRACE command (the
+                       proxy's merged cluster export)
+)";
   return 2;
 }
 
 std::optional<DaemonConfig> parse_args(int argc, char** argv) {
   DaemonConfig cfg;
   cfg.svc.embed.prewarm_oracle = true;  // a daemon amortizes the warmup
-  const auto num = [&](int* i) -> long {
-    if (*i + 1 >= argc) return -1;
-    return std::atol(argv[++*i]);
-  };
+  const auto num = [&](int* i) { return int_arg(argc, argv, i); };
+  const auto real = [&](int* i) { return double_arg(argc, argv, i); };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     long v = 0;
+    double d = 0;
     if (a == "--queue-depth" && (v = num(&i)) > 0) {
       cfg.svc.queue_depth = static_cast<std::size_t>(v);
     } else if (a == "--batch-max" && (v = num(&i)) > 0) {
@@ -214,12 +187,10 @@ std::optional<DaemonConfig> parse_args(int argc, char** argv) {
       cfg.svc.cache_capacity = static_cast<std::size_t>(v);
     } else if (a == "--verify-on-hit") {
       cfg.svc.verify_on_hit = true;
-    } else if (a == "--tenant-rate" && i + 1 < argc) {
-      cfg.svc.tenant_rate = std::atof(argv[++i]);
-      if (cfg.svc.tenant_rate < 0) return std::nullopt;
-    } else if (a == "--tenant-burst" && i + 1 < argc) {
-      cfg.svc.tenant_burst = std::atof(argv[++i]);
-      if (cfg.svc.tenant_burst < 0) return std::nullopt;
+    } else if (a == "--tenant-rate" && (d = real(&i)) >= 0) {
+      cfg.svc.tenant_rate = d;
+    } else if (a == "--tenant-burst" && (d = real(&i)) >= 0) {
+      cfg.svc.tenant_burst = d;
     } else if (a == "--drr-quantum" && (v = num(&i)) > 0) {
       cfg.svc.drr_quantum = static_cast<std::size_t>(v);
     } else if (a == "--threads" && (v = num(&i)) >= 0) {
@@ -235,15 +206,15 @@ std::optional<DaemonConfig> parse_args(int argc, char** argv) {
     } else if (a == "--bootstrap") {
       cfg.bootstrap = true;
     } else if (a == "--gossip-interval-ms" && (v = num(&i)) > 0) {
-      cfg.gossip_interval_ms = static_cast<int>(v);
+      cfg.membership.probe_interval_ms = static_cast<int>(v);
     } else if (a == "--suspicion-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.suspicion_timeout_ms = static_cast<int>(v);
+      cfg.membership.suspicion_timeout_ms = static_cast<int>(v);
     } else if (a == "--max-conns" && (v = num(&i)) > 0) {
-      cfg.max_conns = static_cast<int>(v);
+      cfg.server.max_conns = static_cast<int>(v);
     } else if (a == "--write-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.write_timeout_ms = static_cast<int>(v);
+      cfg.server.write_timeout_ms = static_cast<int>(v);
     } else if (a == "--drain-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.drain_timeout_ms = static_cast<int>(v);
+      cfg.server.drain_timeout_ms = static_cast<int>(v);
     } else if (a == "--oracle-snapshot" && i + 1 < argc) {
       cfg.oracle_snapshot = argv[++i];
     } else if (a == "--bench-artifact" && i + 1 < argc) {
@@ -267,157 +238,38 @@ std::optional<DaemonConfig> parse_args(int argc, char** argv) {
   return cfg;
 }
 
-// --- stdio transport --------------------------------------------------
-
-/// Answer a PING, FAIL, HEALTH, gossip, membership, or seed command on
-/// `out`; true when `req` was one.  All are answered inline on the
-/// reader thread — liveness probes, fault arming, gossip exchanges,
-/// and cache seeding must not wait behind queued embeddings.  `agent`
-/// is null outside member mode (stdio, or TCP without membership).
-bool answer_command(ServiceRequest& req, std::ostream& out,
-                    std::mutex& out_mu, EmbedService& svc,
-                    const DaemonConfig& cfg,
-                    cluster::MembershipAgent* agent) {
-  if (req.kind == RequestKind::kPing) {
-    const std::lock_guard<std::mutex> lock(out_mu);
-    out << "PONG\n";
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kHealth) {
-    HealthInfo h;
-    h.shard_id = cfg.shard_id;
-    // Live membership owns the epoch once an agent runs; the static
-    // number is only the pre-membership fallback.
-    h.epoch = agent != nullptr ? agent->epoch() : cfg.map_epoch;
-    h.cache_entries = svc.cache_size();
-    h.cache_hits = static_cast<std::uint64_t>(
-        obs::counter("svc.cache_hits").value());
-    h.cache_misses = static_cast<std::uint64_t>(
-        obs::counter("svc.cache_misses").value());
-    h.uptime_ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - g_start)
-            .count());
-    h.inflight = svc.inflight();
-    const std::lock_guard<std::mutex> lock(out_mu);
-    write_health(out, h);
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kTrace) {
-    // Remote flight-recorder drain (a read, not a reset): the proxy's
-    // merge path pulls these from every shard into one Perfetto file.
-    TraceDump d;
-    d.process = cfg.shard_id >= 0
-                    ? "shard-" + std::to_string(cfg.shard_id)
-                    : "starringd";
-    d.epoch_ns = obs::trace::epoch_ns();
-    d.dropped = obs::trace::stats().dropped;
-    d.spans = obs::trace::collect();
-    const std::lock_guard<std::mutex> lock(out_mu);
-    write_trace(out, d);
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kSlow) {
-    // The slow-request flight recorder lives in the proxy; a shard
-    // answers the framed record with an empty report so callers can
-    // issue SLOW cluster-wide without special-casing.
-    const std::lock_guard<std::mutex> lock(out_mu);
-    write_stats(out, "# slow-request recorder: not a proxy\n");
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kSeed) {
-    // Proxy-initiated read-through replication: insert the pushed
-    // canonical ring as if it came from a snapshot warm start.  Trust
-    // boundary is the same as FAIL — loopback peers are operators.
-    std::string why;
-    if (req.seed_key.empty())
-      why = "empty key";
-    else if (req.seed_ring.empty())
-      why = "empty ring";
-    else
-      svc.seed_cache(req.seed_key, std::move(req.seed_ring));
-    obs::counter(why.empty() ? "svc.seeds_accepted" : "svc.seeds_rejected")
-        .add();
-    const std::lock_guard<std::mutex> lock(out_mu);
-    if (why.empty())
-      out << "SEED ok\n";
-    else
-      out << "SEED bad " << why << "\n";
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kFail) {
-    std::string why;
-    const bool ok = failpoint::set(req.fail_config, &why);
-    const std::lock_guard<std::mutex> lock(out_mu);
-    if (ok)
-      out << "FAIL ok\n";
-    else
-      out << "FAIL bad "
-          << (why.empty() ? std::string("failpoints unavailable") : why)
-          << "\n";
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kGossip) {
-    if (agent == nullptr) {
-      // Not a member: a malformed-on-purpose line makes the peer's
-      // gossip parse fail fast instead of burning its read timeout.
-      const std::lock_guard<std::mutex> lock(out_mu);
-      out << "GOSSIP bad not a cluster member\n";
-      out.flush();
-      return true;
-    }
-    const cluster::MembershipAgent::Reply reply = agent->handle(*req.gossip);
-    if (FAILPOINT("gossip.ack")) {
-      // Partition chaos, receiver half: the updates were merged but
-      // the peer hears nothing back — its probe fails and we start
-      // accruing suspicion over there.
-      obs::counter("cluster.membership.acks_dropped").add();
-      return true;
-    }
-    const std::lock_guard<std::mutex> lock(out_mu);
-    if (reply.snapshot)
-      write_membership(out, *reply.snapshot);
-    else if (reply.ack)
-      write_gossip(out, *reply.ack);
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kMembers) {
-    MembershipRecord rec;
-    if (agent != nullptr) {
-      rec = agent->membership();
-    } else {
-      rec.epoch = cfg.map_epoch;  // static view: no live members list
-    }
-    const std::lock_guard<std::mutex> lock(out_mu);
-    write_membership(out, rec);
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kLeave) {
-    {
-      const std::lock_guard<std::mutex> lock(out_mu);
-      out << "LEAVE ok\n";
-      out.flush();
-    }
-    // Graceful departure: announce `left` to every peer (so nobody
-    // burns a suspicion window or trips a breaker on us), then stop
-    // accepting; the main loop's bounded drain answers what's queued.
-    // Detached: leave() dials peers and must not block this reader.
-    std::thread([agent] {
-      if (agent != nullptr) agent->leave();
-      g_stop = 1;
-    }).detach();
-    return true;
-  }
-  return false;
+/// The shard's answers to the out-of-band commands.  `agent` is null
+/// outside member mode (stdio, or TCP without membership).
+cluster::CommandTable shard_commands(EmbedService& svc,
+                                     const DaemonConfig& cfg,
+                                     cluster::MembershipAgent* agent) {
+  cluster::CommandTable table;
+  table.health = [&svc, &cfg, agent] {
+    return HealthInfo{
+        .shard_id = cfg.shard_id,
+        // Live membership owns the epoch once an agent runs; the static
+        // number is only the pre-membership fallback.
+        .epoch = agent != nullptr ? agent->epoch() : cfg.map_epoch,
+        .cache_entries = svc.cache_size(),
+        .cache_hits = static_cast<std::uint64_t>(
+            obs::counter("svc.cache_hits").value()),
+        .cache_misses = static_cast<std::uint64_t>(
+            obs::counter("svc.cache_misses").value()),
+        .inflight = svc.inflight()};
+  };
+  table.trace_process = cfg.shard_id >= 0
+                            ? "shard-" + std::to_string(cfg.shard_id)
+                            : "starringd";
+  table.seed = [&svc](const std::string& key, std::vector<VertexId> ring) {
+    svc.seed_cache(key, std::move(ring));
+  };
+  table.agent = agent;
+  table.static_epoch = cfg.map_epoch;
+  table.stop = &g_stop;
+  return table;
 }
+
+// --- stdio transport --------------------------------------------------
 
 int serve_stdio(DaemonConfig& cfg) {
   // Declared before the service: destroyed after it, so a signal-drain
@@ -434,155 +286,62 @@ int serve_stdio(DaemonConfig& cfg) {
     }
   });
 
-  int rc = 0;
-  std::string err;
-  while (g_stop == 0) {
-    auto req = read_request(std::cin, &err);
-    if (!req) {
-      if (!err.empty()) {
-        // Framing is token-based; a malformed record poisons the
-        // stream.  Report once and drain what was admitted.
-        const std::lock_guard<std::mutex> lock(out_mu);
-        ServiceResponse bad;
-        bad.status = ServiceStatus::kError;
-        bad.reason = "parse: " + err;
-        write_response(std::cout, bad);
-        std::cout.flush();
-        rc = 1;
-      }
-      break;
-    }
-    if (req->kind == RequestKind::kStats) {
-      const std::lock_guard<std::mutex> lock(out_mu);
-      write_stats(std::cout, obs::render_prometheus());
-      std::cout.flush();
-      continue;
-    }
-    if (answer_command(*req, std::cout, out_mu, svc, cfg, nullptr))
-      continue;
-    // wait=true: a full queue stops the reader, and the pipe buffer
-    // backpressures the writer on the other side.
-    svc.submit(std::move(*req));
-  }
+  // wait=true: a full queue stops the reader, and the pipe buffer
+  // backpressures the writer on the other side.
+  const bool clean = cluster::serve_requests(
+      std::cin, std::cout, out_mu, g_stop, shard_commands(svc, cfg, nullptr),
+      [&svc](ServiceRequest& req) { svc.submit(std::move(req)); });
   // A clean EOF drain is allowed to take as long as the queue needs;
   // a signal-initiated one is bounded.
-  if (g_stop != 0) drain_guard.emplace(cfg.drain_timeout_ms);
+  if (g_stop.load()) drain_guard.emplace(cfg.server.drain_timeout_ms);
   svc.drain();
   writer.join();
-  return rc;
+  return clean ? 0 : 1;
 }
 
 // --- TCP transport ----------------------------------------------------
 
-void serve_connection(int fd, EmbedService& svc, net::ConnRegistry& reg,
-                      const DaemonConfig& cfg,
-                      cluster::MembershipAgent* agent) {
-  // Set on write timeout (eviction), hard write error, or a response
-  // that failed to serialize; once dead the
-  // connection is no longer serviced — reads stop (the socket is
-  // hard-closed) and queued callbacks drop their responses.
-  std::atomic<bool> dead{false};
-  net::FdInBuf in_buf(fd);
-  net::FdOutBuf out_buf(fd, cfg.write_timeout_ms, &dead);
-  std::istream in(&in_buf);
-  std::ostream out(&out_buf);
-  // Per-connection response routing; responses may complete out of
-  // submission order across batches, ids correlate them.
-  std::mutex out_mu;
+/// Embed hook for one TCP connection: non-blocking admission with a
+/// per-connection response callback.  Responses may complete out of
+/// submission order across batches; ids correlate them.  Returns once
+/// every admitted request has been answered (or dropped on a dead
+/// connection).
+void serve_connection(cluster::TcpConn& conn, EmbedService& svc,
+                      const cluster::CommandTable& table) {
   std::condition_variable done_cv;
   std::mutex done_mu;
   int outstanding = 0;
-
-  // Call under out_mu.  A response that fails to serialize (the
-  // io.write_response failpoint, or a stream that went bad underneath
-  // us) must not leave the connection half-alive: the peer would burn
-  // its full read timeout on a socket that will never answer.  Kill it
-  // instead so the client sees EOF promptly and fails over.
-  auto send_response = [&](const ServiceResponse& resp) {
-    if (write_response(out, resp)) {
-      out.flush();
-    } else {
-      out_buf.mark_dead();
-    }
-  };
-
-  std::string err;
-  while (!dead.load(std::memory_order_relaxed)) {
-    auto req = read_request(in, &err);
-    if (!req) {
-      if (!err.empty() && !dead.load(std::memory_order_relaxed)) {
-        const std::lock_guard<std::mutex> lock(out_mu);
-        ServiceResponse bad;
-        bad.status = ServiceStatus::kError;
-        bad.reason = "parse: " + err;
-        send_response(bad);
-      }
-      break;
-    }
-    if (req->kind == RequestKind::kStats) {
-      const std::lock_guard<std::mutex> lock(out_mu);
-      write_stats(out, obs::render_prometheus());
-      out.flush();
-      continue;
-    }
-    if (answer_command(*req, out, out_mu, svc, cfg, agent)) continue;
-    {
-      const std::lock_guard<std::mutex> lock(done_mu);
-      ++outstanding;
-    }
-    const std::uint64_t id = req->id;
-    const bool admitted = svc.submit(
-        *req,
-        [&, id](ServiceResponse resp) {
-          if (!dead.load(std::memory_order_relaxed)) {
-            const std::lock_guard<std::mutex> lock(out_mu);
-            send_response(resp);
-          }
-          {
-            // Notify under the lock: the connection thread may destroy
-            // the cv the moment it observes outstanding == 0.
-            const std::lock_guard<std::mutex> lock(done_mu);
-            --outstanding;
-            done_cv.notify_all();
-          }
-        },
-        /*wait=*/false);
-    if (!admitted) {
-      // Remote callers get an explicit bounce instead of a stalled
-      // socket, so they can back off or retry elsewhere.
-      if (!dead.load(std::memory_order_relaxed)) {
-        const std::lock_guard<std::mutex> lock(out_mu);
-        ServiceResponse rej;
-        rej.id = id;
-        rej.status = ServiceStatus::kRejected;
-        rej.reason = "queue full";
-        send_response(rej);
-      }
-      const std::lock_guard<std::mutex> lock(done_mu);
-      --outstanding;
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return outstanding == 0; });
-  }
-  reg.remove(fd);
-  ::close(fd);
-}
-
-/// Over the connection cap: one `status rejected` response, then close.
-/// The socket is still blocking here (best effort; a peer that will not
-/// read its bounce is closed on anyway when the process exits).
-void refuse_connection(int fd) {
-  obs::counter("svc.rejected_conns").add();
-  net::FdOutBuf out_buf(fd, /*write_timeout_ms=*/1000, nullptr);
-  std::ostream out(&out_buf);
-  ServiceResponse rej;
-  rej.status = ServiceStatus::kRejected;
-  rej.reason = "connection limit";
-  write_response(out, rej);
-  out.flush();
-  ::close(fd);
+  cluster::serve_requests(
+      conn.in, conn.out, conn.out_mu, conn.dead, table,
+      [&](ServiceRequest& req) {
+        {
+          const std::lock_guard<std::mutex> lock(done_mu);
+          ++outstanding;
+        }
+        const std::uint64_t id = req.id;
+        const bool admitted = svc.submit(
+            std::move(req),
+            [&](ServiceResponse resp) {
+              conn.send(resp);
+              // Notify under the lock: the connection thread may
+              // destroy the cv the moment it observes outstanding == 0.
+              const std::lock_guard<std::mutex> lock(done_mu);
+              --outstanding;
+              done_cv.notify_all();
+            },
+            /*wait=*/false);
+        if (!admitted) {
+          // Remote callers get an explicit bounce instead of a stalled
+          // socket, so they can back off or retry elsewhere.
+          conn.send({.id = id,
+                     .status = ServiceStatus::kRejected,
+                     .reason = "queue full"});
+          const std::lock_guard<std::mutex> lock(done_mu);
+          --outstanding;
+        }
+      });
+  std::unique_lock<std::mutex> lock(done_mu);
+  done_cv.wait(lock, [&] { return outstanding == 0; });
 }
 
 int serve_tcp(DaemonConfig& cfg) {
@@ -604,88 +363,41 @@ int serve_tcp(DaemonConfig& cfg) {
   std::unique_ptr<cluster::MembershipAgent> agent;
   if (cfg.shard_id >= 0 &&
       (cfg.static_map || cfg.bootstrap || !cfg.join_addr.empty())) {
-    MemberRecord self;
-    self.shard_id = cfg.shard_id;
-    self.incarnation = 1;
-    self.addr = "127.0.0.1:" + std::to_string(actual_port);
-    cluster::MembershipOptions mopts;
-    mopts.probe_interval_ms = cfg.gossip_interval_ms;
-    mopts.suspicion_timeout_ms = cfg.suspicion_timeout_ms;
-    if (cfg.static_map) {
-      if (const cluster::ShardInfo* mine =
-              cfg.static_map->find(cfg.shard_id))
-        self.addr = net::to_string(mine->endpoint);
-      agent = std::make_unique<cluster::MembershipAgent>(self, mopts);
-      agent->bootstrap_from_map(*cfg.static_map);
-    } else if (cfg.bootstrap) {
-      agent = std::make_unique<cluster::MembershipAgent>(self, mopts);
-      agent->bootstrap_single();
-    } else {
-      agent = std::make_unique<cluster::MembershipAgent>(self, mopts);
-      if (!agent->join(cfg.join_addr)) {
-        std::cerr << "starringd: failed to join cluster via "
-                  << cfg.join_addr << "\n";
-        ::close(listen_fd);
-        return 1;
-      }
+    agent = cluster::bootstrap_agent(cfg.shard_id, actual_port,
+                                     cfg.membership, cfg.static_map.get(),
+                                     cfg.join_addr);
+    if (!agent) {
+      std::cerr << "starringd: failed to join cluster via " << cfg.join_addr
+                << "\n";
+      ::close(listen_fd);
+      return 1;
+    }
+    if (!cfg.join_addr.empty())
       std::cerr << "starringd: joined cluster via " << cfg.join_addr
                 << ", epoch " << agent->epoch() << "\n";
-    }
     agent->start();
   }
 
-  // Declared before the service and registry: destroyed last, so the
-  // drain bound armed at shutdown covers the scheduler join too.
+  // Declared before the service: destroyed last, so the drain bound
+  // armed at shutdown covers the scheduler join too.
   std::optional<net::DrainGuard> drain_guard;
   EmbedService svc(cfg.svc);
   seed_service(svc, cfg);
-  net::ConnRegistry reg;
-  obs::Counter& accept_errors = obs::counter("svc.accept_errors");
-  while (g_stop == 0) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int r = ::poll(&pfd, 1, 200 /*ms*/);
-    if (r <= 0) continue;  // timeout or EINTR: re-check g_stop
-    const int fd =
-        net::accept_transient(listen_fd, "starringd", accept_errors);
-    if (fd < 0) continue;
-    if (reg.count() >= static_cast<std::size_t>(cfg.max_conns)) {
-      refuse_connection(fd);
-      continue;
-    }
-    if (!net::set_nonblocking(fd)) {
-      ::close(fd);
-      continue;
-    }
-    reg.add(fd);
-    // Detached with the registry as the liveness ledger: finished
-    // connections release their thread immediately instead of
-    // accumulating joinable handles until shutdown.
-    std::thread([fd, &svc, &reg, &cfg, agent_raw = agent.get()] {
-      serve_connection(fd, svc, reg, cfg, agent_raw);
-    }).detach();
-  }
-  ::close(listen_fd);
-  // Depart politely on SIGTERM too (idempotent after a LEAVE command):
-  // peers record `left` and drop us from their maps without a
-  // suspicion window.  A SIGKILLed process never gets here, which is
-  // exactly the failure-detection path.
-  if (agent) {
-    agent->leave();
-    agent->stop();
-  }
-  drain_guard.emplace(cfg.drain_timeout_ms);
-  reg.shutdown_all(SHUT_RD);
-  if (!reg.wait_empty(cfg.drain_timeout_ms / 2)) {
-    // Laggards lose their half-closed grace: hard-close both ways so
-    // blocked reads and writes fail and the connections unwind.
-    reg.shutdown_all(SHUT_RDWR);
-    if (!reg.wait_empty(cfg.drain_timeout_ms / 4)) {
-      // Detached threads still reference svc/reg; exiting now is the
-      // only unwind that cannot touch freed state.
-      std::cerr << "starringd: connections failed to drain, aborting\n";
-      std::_Exit(1);
-    }
-  }
+  const cluster::CommandTable table = shard_commands(svc, cfg, agent.get());
+  cluster::run_acceptor(
+      listen_fd, cfg.server, g_stop,
+      [&](cluster::TcpConn& conn) { serve_connection(conn, svc, table); },
+      [&] {
+        // Depart politely on SIGTERM too (idempotent after a LEAVE
+        // command): peers record `left` and drop us from their maps
+        // without a suspicion window.  A SIGKILLed process never gets
+        // here, which is exactly the failure-detection path.
+        if (agent) {
+          agent->leave();
+          agent->stop();
+        }
+        drain_guard.emplace(cfg.server.drain_timeout_ms);
+      });
   svc.drain();
   return 0;
 }
@@ -796,14 +508,7 @@ int daemon_main(int argc, char** argv) {
     }
   }
 
-  if (rec) {
-    const double hits =
-        static_cast<double>(obs::counter("svc.cache_hits").value());
-    const double misses =
-        static_cast<double>(obs::counter("svc.cache_misses").value());
-    rec->add_counter("svc.cache_hit_rate",
-                     hits + misses > 0 ? hits / (hits + misses) : 0.0);
-  }
+  if (rec) rec->add_hit_rate("svc");
   return rc;
 }
 

@@ -1,11 +1,15 @@
 #include "util/io.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
 #include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "util/failpoint.hpp"
@@ -118,21 +122,6 @@ bool read_faults(std::istream& is, int n, FaultSet* out, std::string* error) {
   return true;
 }
 
-/// Strict decimal u64: all digits, no sign, no overflow.  The trace
-/// line is parsed with this rather than `>>` so an oversized or
-/// negative id is a framing error instead of a silent wrap.
-std::optional<std::uint64_t> parse_u64(const std::string& tok) {
-  if (tok.empty() || tok.size() > 20) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : tok) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - d) / 10) return std::nullopt;
-    v = v * 10 + d;
-  }
-  return v;
-}
-
 /// Read `count` whitespace-separated vertex ids of S_n.
 bool read_sequence(std::istream& is, int n, std::size_t count,
                    std::vector<VertexId>* out, std::string* error) {
@@ -162,6 +151,44 @@ bool read_sequence(std::istream& is, int n, std::size_t count,
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_u64(const std::string& tok) {
+  if (tok.empty() || tok.size() > 20) return std::nullopt;
+  std::uint64_t v = 0;
+  for (const char c : tok) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
+    if (v > (UINT64_MAX - d) / 10) return std::nullopt;
+    v = v * 10 + d;
+  }
+  return v;
+}
+
+std::optional<double> parse_double(const std::string& tok) {
+  // The character whitelist rules out what strtod would otherwise
+  // accept beyond plain decimals: whitespace, hex, inf and nan.
+  if (tok.empty() ||
+      tok.find_first_not_of("0123456789.eE+-") != std::string::npos)
+    return std::nullopt;
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  if (end != tok.c_str() + tok.size() || !std::isfinite(v))
+    return std::nullopt;
+  return v;
+}
+
+long int_arg(int argc, char** argv, int* i) {
+  if (*i + 1 >= argc) return -1;
+  const auto v = parse_u64(argv[++*i]);
+  return v && *v <= static_cast<std::uint64_t>(INT_MAX)
+             ? static_cast<long>(*v)
+             : -1;
+}
+
+double double_arg(int argc, char** argv, int* i) {
+  if (*i + 1 >= argc) return -1;
+  return parse_double(argv[++*i]).value_or(-1);
+}
 
 bool write_embedding(std::ostream& os, const EmbeddingFile& e) {
   os << "starring-embedding v1\n";
@@ -208,37 +235,27 @@ std::optional<EmbeddingFile> read_embedding(std::istream& is,
   return e;
 }
 
+namespace {
+
+/// The bare one-word command lines, for both directions of the codec.
+/// FAIL carries a payload and is framed apart.
+constexpr std::pair<RequestKind, const char*> kBareCommands[] = {
+    {RequestKind::kStats, "STATS"},     {RequestKind::kPing, "PING"},
+    {RequestKind::kHealth, "HEALTH"},   {RequestKind::kTrace, "TRACE"},
+    {RequestKind::kSlow, "SLOW"},       {RequestKind::kMembers, "MEMBERS"},
+    {RequestKind::kLeave, "LEAVE"},
+};
+
+}  // namespace
+
 bool write_request(std::ostream& os, const ServiceRequest& r) {
-  if (r.kind == RequestKind::kStats) {
-    os << "STATS\n";
-    return static_cast<bool>(os);
-  }
-  if (r.kind == RequestKind::kPing) {
-    os << "PING\n";
-    return static_cast<bool>(os);
-  }
+  for (const auto& [kind, word] : kBareCommands)
+    if (r.kind == kind) {
+      os << word << "\n";
+      return static_cast<bool>(os);
+    }
   if (r.kind == RequestKind::kFail) {
     os << "FAIL " << r.fail_config << "\n";
-    return static_cast<bool>(os);
-  }
-  if (r.kind == RequestKind::kHealth) {
-    os << "HEALTH\n";
-    return static_cast<bool>(os);
-  }
-  if (r.kind == RequestKind::kTrace) {
-    os << "TRACE\n";
-    return static_cast<bool>(os);
-  }
-  if (r.kind == RequestKind::kSlow) {
-    os << "SLOW\n";
-    return static_cast<bool>(os);
-  }
-  if (r.kind == RequestKind::kMembers) {
-    os << "MEMBERS\n";
-    return static_cast<bool>(os);
-  }
-  if (r.kind == RequestKind::kLeave) {
-    os << "LEAVE\n";
     return static_cast<bool>(os);
   }
   if (r.kind == RequestKind::kGossip) {
@@ -273,6 +290,17 @@ bool write_request(std::ostream& os, const ServiceRequest& r) {
   return static_cast<bool>(os);
 }
 
+const char* status_name(ServiceStatus s) {
+  switch (s) {
+    case ServiceStatus::kOk: return "ok";
+    case ServiceStatus::kError: return "error";
+    case ServiceStatus::kRejected: return "rejected";
+    case ServiceStatus::kTimeout: return "timeout";
+    case ServiceStatus::kThrottled: return "throttled";
+  }
+  return "?";
+}
+
 bool write_response(std::ostream& os, const ServiceResponse& r) {
   // Chaos site: a failed serialization looks exactly like a peer whose
   // stream died mid-response — the caller's error path must cope.
@@ -282,29 +310,17 @@ bool write_response(std::ostream& os, const ServiceResponse& r) {
   }
   os << "starring-response v1\n";
   os << "id " << r.id << "\n";
-  switch (r.status) {
-    case ServiceStatus::kOk: {
-      os << "status ok\n";
-      os << "cache " << (r.cache_hit ? "hit" : "miss") << "\n";
-      os << "verified " << (r.verified ? 1 : 0) << "\n";
-      os << "ring " << r.ring.size() << "\n";
-      for (std::size_t i = 0; i < r.ring.size(); ++i)
-        os << r.ring[i] << ((i + 1) % 16 == 0 ? '\n' : ' ');
-      os << "\n";
-      break;
-    }
-    case ServiceStatus::kError:
-      os << "status error\nreason " << r.reason << "\n";
-      break;
-    case ServiceStatus::kRejected:
-      os << "status rejected\nreason " << r.reason << "\n";
-      break;
-    case ServiceStatus::kTimeout:
-      os << "status timeout\nreason " << r.reason << "\n";
-      break;
-    case ServiceStatus::kThrottled:
-      os << "status throttled\nreason " << r.reason << "\n";
-      break;
+  if (r.status == ServiceStatus::kOk) {
+    os << "status ok\n";
+    os << "cache " << (r.cache_hit ? "hit" : "miss") << "\n";
+    os << "verified " << (r.verified ? 1 : 0) << "\n";
+    os << "ring " << r.ring.size() << "\n";
+    for (std::size_t i = 0; i < r.ring.size(); ++i)
+      os << r.ring[i] << ((i + 1) % 16 == 0 ? '\n' : ' ');
+    os << "\n";
+  } else {
+    os << "status " << status_name(r.status) << "\nreason " << r.reason
+       << "\n";
   }
   os << "end\n";
   return static_cast<bool>(os);
@@ -471,41 +487,18 @@ std::optional<ServiceRequest> read_request(std::istream& is,
                                            std::string* error) {
   ServiceRequest r;
   {
-    // The STATS command is a bare line, recognized before the normal
-    // record header; anything else must be a full request record.
+    // Bare command lines are recognized before the normal record
+    // header; anything else must be a full record.
     std::string word;
     if (!(is >> word)) {
       fail(error, "");  // clean EOF
       return std::nullopt;
     }
-    if (word == "STATS") {
-      r.kind = RequestKind::kStats;
-      return r;
-    }
-    if (word == "PING") {
-      r.kind = RequestKind::kPing;
-      return r;
-    }
-    if (word == "HEALTH") {
-      r.kind = RequestKind::kHealth;
-      return r;
-    }
-    if (word == "TRACE") {
-      r.kind = RequestKind::kTrace;
-      return r;
-    }
-    if (word == "SLOW") {
-      r.kind = RequestKind::kSlow;
-      return r;
-    }
-    if (word == "MEMBERS") {
-      r.kind = RequestKind::kMembers;
-      return r;
-    }
-    if (word == "LEAVE") {
-      r.kind = RequestKind::kLeave;
-      return r;
-    }
+    for (const auto& [kind, bare] : kBareCommands)
+      if (word == bare) {
+        r.kind = kind;
+        return r;
+      }
     if (word == "starring-gossip") {
       std::string version;
       if (!(is >> version) || version != "v1") {

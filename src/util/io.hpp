@@ -31,6 +31,25 @@
 
 namespace starring {
 
+// --- strict numeric tokens -------------------------------------------
+
+/// Strict decimal u64: all digits, no sign, no overflow.  Wire fields
+/// such as the trace line parse with this rather than `>>`, so an
+/// oversized or negative id is a framing error instead of a silent
+/// wrap.
+std::optional<std::uint64_t> parse_u64(const std::string& tok);
+
+/// Strict finite double: the whole token is a decimal number (sign,
+/// fraction and exponent allowed; no whitespace, hex, inf or nan).
+std::optional<double> parse_double(const std::string& tok);
+
+/// The daemons' numeric flag values: advance *i and parse argv[*i]
+/// whole, as a parse_u64 integer no larger than INT_MAX or as a
+/// parse_double.  -1 when the value is missing or malformed, so a
+/// caller's `(v = int_arg(...)) >= 0` guard sends it to usage.
+long int_arg(int argc, char** argv, int* i);
+double double_arg(int argc, char** argv, int* i);
+
 struct EmbeddingFile {
   int n = 0;
   bool is_ring = true;  // false: open path
@@ -164,7 +183,7 @@ struct ServiceRequest {
   /// Caller-chosen correlation id, echoed on the response.
   std::uint64_t id = 0;
   int n = 0;
-  FaultSet faults;
+  FaultSet faults{};
   /// Ask the service to run the independent verifier on the response
   /// ring before sending it (hits are additionally verified when the
   /// daemon runs with --verify-on-hit).
@@ -178,7 +197,7 @@ struct ServiceRequest {
   /// metrics.  Empty on the wire means "the default tenant" — the
   /// service buckets such requests into `default` rather than letting
   /// them bypass quotas.
-  std::string tenant;
+  std::string tenant{};
   /// Distributed-tracing context (the optional `trace` line).  A
   /// nonzero trace_id asks the receiver to record its spans under that
   /// trace, rooting them at parent_span_id (0 = root).  0/0 means "no
@@ -186,15 +205,15 @@ struct ServiceRequest {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span_id = 0;
   /// Payload of a `FAIL <config>` command (kind == kFail only).
-  std::string fail_config;
+  std::string fail_config{};
   /// Canonical class key of a seed record (kind == kSeed only; n above
   /// is the seed's dimension and seed_ring its canonical ring).
-  std::string seed_key;
-  std::vector<VertexId> seed_ring;
+  std::string seed_key{};
+  std::vector<VertexId> seed_ring{};
   /// Parsed gossip message (kind == kGossip only).  Held by pointer so
   /// the common embed path does not pay for the vectors inside, and so
   /// ServiceRequest stays cheaply copyable.
-  std::shared_ptr<GossipMessage> gossip;
+  std::shared_ptr<GossipMessage> gossip{};
 };
 
 /// Longest canonical-class key accepted in a seed record.  Canonical
@@ -209,6 +228,9 @@ inline constexpr std::size_t kMaxTenantLen = 64;
 
 enum class ServiceStatus { kOk, kError, kRejected, kTimeout, kThrottled };
 
+/// The wire token of a status (`status <name>` in a response record).
+const char* status_name(ServiceStatus s);
+
 struct ServiceResponse {
   std::uint64_t id = 0;
   ServiceStatus status = ServiceStatus::kError;
@@ -217,9 +239,9 @@ struct ServiceResponse {
   /// Whether the service verified the ring before responding.
   bool verified = false;
   /// The healthy ring in the caller's frame (ok responses only).
-  std::vector<VertexId> ring;
+  std::vector<VertexId> ring{};
   /// Failure reason (non-ok responses only; single line).
-  std::string reason;
+  std::string reason{};
 };
 
 bool write_request(std::ostream& os, const ServiceRequest& r);

@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "util/io.hpp"
+
 namespace starring::net {
 
 namespace {
@@ -222,6 +224,14 @@ bool FdOutBuf::write_all(const char* p, std::size_t count) {
     return false;
   }
   return true;
+}
+
+ClientConn::~ClientConn() {
+  if (fd >= 0) ::close(fd);
+}
+
+bool ClientConn::send(const ServiceRequest& req) {
+  return ok() && write_request(out, req) && out.flush();
 }
 
 // --- daemon shutdown scaffolding -------------------------------------

@@ -1,15 +1,10 @@
 // TCP plumbing shared by every networked binary (starringd,
-// starring-proxy, starring-cli, starring-load).
-//
-// Before the cluster work each binary carried its own copy of the
-// fd <-> iostream glue and hardcoded 127.0.0.1: the daemon's streambufs
-// lived in starringd.cpp, and both clients could only dial a bare
-// loopback port.  A sharded deployment needs the same pieces in four
-// processes — endpoint parsing ("HOST:PORT" as well as the
-// back-compatible bare "PORT"), bounded-read/bounded-write stream
-// glue (a proxy must not hang forever on a wedged shard), a hardened
-// accept loop, and the connection-drain scaffolding — so they live
-// here once.
+// starring-proxy, starring-cli, starring-load): endpoint parsing
+// ("HOST:PORT" as well as the back-compatible bare "PORT"),
+// bounded-read/bounded-write stream glue (a proxy must not hang
+// forever on a wedged shard), one dialed-connection type, hardened
+// accept, and the connection-drain scaffolding.  The server loop built
+// on these lives in cluster/server.hpp.
 //
 // Everything is loopback/IPv4-oriented on purpose: the cluster model
 // (DESIGN.md §13) is co-located processes behind one router, not a
@@ -20,14 +15,20 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <istream>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+
+namespace starring {
+struct ServiceRequest;  // util/io.hpp
+}  // namespace starring
 
 namespace starring::net {
 
@@ -113,6 +114,34 @@ class FdOutBuf : public std::streambuf {
   int fd_;
   int timeout_ms_;
   std::atomic<bool>* dead_;
+};
+
+/// One dialed connection: a non-blocking socket behind bounded
+/// FdInBuf/FdOutBuf iostreams, closed on destruction.  Every outbound
+/// exchange (proxy forwards, seed pushes, health polls, trace pulls,
+/// gossip probes) goes through this type.  A failed dial leaves
+/// ok() false and streams that fail on first use.
+struct ClientConn {
+  ClientConn(const Endpoint& ep, int read_timeout_ms, int write_timeout_ms)
+      : fd(connect_endpoint(ep, /*nonblocking=*/true)),
+        in_buf(fd, read_timeout_ms),
+        out_buf(fd, write_timeout_ms, nullptr),
+        in(&in_buf),
+        out(&out_buf) {}
+  ~ClientConn();
+  ClientConn(const ClientConn&) = delete;
+  ClientConn& operator=(const ClientConn&) = delete;
+
+  bool ok() const { return fd >= 0; }
+  /// Write and flush one request record; false on a failed dial or
+  /// write.
+  bool send(const ServiceRequest& req);
+
+  int fd;
+  FdInBuf in_buf;
+  FdOutBuf out_buf;
+  std::istream in;
+  std::ostream out;
 };
 
 // --- daemon shutdown scaffolding -------------------------------------

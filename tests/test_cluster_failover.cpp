@@ -3,7 +3,8 @@
 // assert a replica serves the retry (`status ok`, cluster.failover
 // counted).  A second test storms the proxy's failpoints via the
 // STARRING_FAILPOINTS environment and asserts every request still
-// reaches a terminal status.
+// reaches a terminal status.  A third checks that both daemons refuse
+// malformed numeric flags with their usage message and exit status 2.
 //
 // These tests exec the binaries the build just produced, located
 // relative to /proc/self/exe (build/tests/ -> build/src/...).  If the
@@ -60,14 +61,20 @@ bool file_exists(const std::string& p) {
   return ::access(p.c_str(), X_OK) == 0;
 }
 
-/// fork+exec with stderr redirected to `stderr_path` (the daemons
-/// announce their kernel-assigned port there) and optional extra
-/// environment entries of the form NAME=VALUE.
+/// fork+exec with stdin from /dev/null, stderr redirected to
+/// `stderr_path` (the daemons announce their kernel-assigned port
+/// there) and optional extra environment entries of the form
+/// NAME=VALUE.
 pid_t spawn(const std::vector<std::string>& argv,
             const std::string& stderr_path,
             const std::vector<std::string>& extra_env = {}) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
+  const int null_fd = ::open("/dev/null", O_RDONLY);
+  if (null_fd >= 0) {
+    ::dup2(null_fd, 0);
+    ::close(null_fd);
+  }
   const int err_fd =
       ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (err_fd >= 0) {
@@ -106,27 +113,10 @@ int wait_for_port(const std::string& stderr_path, int timeout_ms = 10000) {
   return -1;
 }
 
-/// A blocking client connection with bounded reads, so a wedged server
-/// fails the test instead of hanging it.
-struct Conn {
-  explicit Conn(const net::Endpoint& ep, int read_timeout_ms = 20000)
-      : fd(net::connect_endpoint(ep)),
-        in_buf(fd, read_timeout_ms),
-        out_buf(fd, /*write_timeout_ms=*/5000, &dead),
-        in(&in_buf),
-        out(&out_buf) {}
-  ~Conn() {
-    if (fd >= 0) ::close(fd);
-  }
-  bool ok() const { return fd >= 0; }
-
-  int fd;
-  std::atomic<bool> dead{false};
-  net::FdInBuf in_buf;
-  net::FdOutBuf out_buf;
-  std::istream in;
-  std::ostream out;
-};
+/// Client connections bound their reads, so a wedged server fails the
+/// test instead of hanging it.
+constexpr int kReadTimeoutMs = 20000;
+constexpr int kWriteTimeoutMs = 5000;
 
 class ClusterProcessTest : public ::testing::Test {
  protected:
@@ -198,26 +188,17 @@ class ClusterProcessTest : public ::testing::Test {
     return net::Endpoint{"127.0.0.1", port};
   }
 
-  static std::optional<ServiceResponse> embed(Conn& c, std::uint64_t id,
-                                              int n, const FaultSet& f) {
-    ServiceRequest req;
-    req.id = id;
-    req.n = n;
-    req.faults = f;
-    if (!write_request(c.out, req)) return std::nullopt;
-    c.out.flush();
-    if (!c.out) return std::nullopt;
+  static std::optional<ServiceResponse> embed(net::ClientConn& c,
+                                              std::uint64_t id, int n,
+                                              const FaultSet& f) {
+    if (!c.send({.id = id, .n = n, .faults = f})) return std::nullopt;
     return read_response(c.in);
   }
 
   static std::optional<double> scrape_counter(const net::Endpoint& ep,
                                               const std::string& metric) {
-    Conn c(ep);
-    if (!c.ok()) return std::nullopt;
-    ServiceRequest req;
-    req.kind = RequestKind::kStats;
-    if (!write_request(c.out, req)) return std::nullopt;
-    c.out.flush();
+    net::ClientConn c(ep, kReadTimeoutMs, kWriteTimeoutMs);
+    if (!c.send({.kind = RequestKind::kStats})) return std::nullopt;
     const auto body = read_stats(c.in);
     if (!body) return std::nullopt;
     return loadgen::parse_scalar(*body, metric);
@@ -251,7 +232,7 @@ TEST_F(ClusterProcessTest, ReplicaServesAfterOwnerSigkill) {
   const int owner = map->owner(canon.key);
   ASSERT_GE(owner, 0);
 
-  Conn c(proxy);
+  net::ClientConn c(proxy, kReadTimeoutMs, kWriteTimeoutMs);
   ASSERT_TRUE(c.ok());
   const auto first = embed(c, 1, n, faults);
   ASSERT_TRUE(first.has_value());
@@ -285,7 +266,7 @@ TEST_F(ClusterProcessTest, ChaosStormEveryRequestReachesTerminalStatus) {
 
   const int n = 4;
   const StarGraph g(n);
-  Conn c(proxy);
+  net::ClientConn c(proxy, kReadTimeoutMs, kWriteTimeoutMs);
   ASSERT_TRUE(c.ok());
   int ok = 0, errors = 0, rejected = 0, timeouts = 0;
   const int kRequests = 60;
@@ -304,6 +285,56 @@ TEST_F(ClusterProcessTest, ChaosStormEveryRequestReachesTerminalStatus) {
   }
   EXPECT_EQ(ok + errors + rejected + timeouts, kRequests);
   EXPECT_GT(ok, 0) << "storm at p:0.4 should still let most through";
+}
+
+TEST(DaemonFlags, MalformedNumbersPrintUsageAndExit2) {
+  const std::string bdir = build_dir();
+  const std::string starringd = bdir + "/src/service/starringd";
+  const std::string proxy = bdir + "/src/cluster/starring-proxy";
+  if (!file_exists(starringd) || !file_exists(proxy))
+    GTEST_SKIP() << "service binaries not built";
+  char tmpl[] = "/tmp/starring-flags-XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string log = std::string(tmpl) + "/stderr.log";
+
+  // Each value is malformed, so each command line must stop at usage —
+  // not bind a kernel-assigned port, run on every core, or cap
+  // connections at a truncated number.
+  const std::vector<std::vector<std::string>> cases = {
+      {starringd, "--listen", "abc"},
+      {starringd, "--threads", "x"},
+      {starringd, "--max-conns", "5k"},
+      {starringd, "--tenant-rate", "1x"},
+      {starringd, "--tenant-burst", "fast"},
+      {proxy, "--shard-map", "/nonexistent", "--listen", "abc"},
+      {proxy, "--shard-map", "/nonexistent", "--listen", "0", "--max-conns",
+       "5k"},
+  };
+  for (const std::vector<std::string>& argv : cases) {
+    std::string cmd;
+    for (const std::string& a : argv) cmd += " " + a;
+    const pid_t pid = spawn(argv, log);
+    ASSERT_GT(pid, 0);
+    int status = 0;
+    bool exited = false;
+    for (int waited = 0; waited < 5000 && !exited; waited += 20) {
+      exited = ::waitpid(pid, &status, WNOHANG) == pid;
+      if (!exited) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    if (!exited) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+    }
+    EXPECT_TRUE(exited) << cmd << ": still running after 5 s";
+    EXPECT_TRUE(exited && WIFEXITED(status) && WEXITSTATUS(status) == 2)
+        << cmd << ": status " << status;
+    std::ifstream f(log);
+    std::stringstream text;
+    text << f.rdbuf();
+    EXPECT_NE(text.str().find("usage:"), std::string::npos) << cmd;
+  }
+  std::remove(log.c_str());
+  ::rmdir(tmpl);
 }
 
 }  // namespace
