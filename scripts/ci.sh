@@ -702,6 +702,11 @@ EOF
   echo "== bench smoke: snapshot cold start vs recompute (n=9) =="
   cmake --build build-bench -j "$JOBS" --target starringd starring-cli
   cold_start_smoke build-bench
+  echo "== bench smoke: end-to-end benchmark harness builds and passes its tests =="
+  # The harness links the repository's libraries and calls the record
+  # codec directly, so a codec signature change fails here rather than
+  # at the next benchmark run.
+  python3 e2ebench/run.py --selftest
 fi
 
 if [[ "$run_simdoff" == 1 ]]; then

@@ -5,13 +5,11 @@
 #include <istream>
 #include <sstream>
 
+#include "util/io.hpp"
+
 namespace starring::cluster {
 
 namespace {
-
-void fail(std::string* error, const std::string& why) {
-  if (error != nullptr) *error = why;
-}
 
 // A deployment is a handful of processes; the cap only guards the
 // parser against a garbage count line.
@@ -22,81 +20,40 @@ constexpr int kMaxVnodes = 4096;
 
 std::optional<ShardMap> ShardMap::parse(std::istream& is,
                                         std::string* error) {
-  std::string word;
-  std::string version;
-  if (!(is >> word >> version) || word != "starring-shard-map" ||
-      version != "v1") {
-    fail(error, "bad header");
-    return std::nullopt;
-  }
+  RecordReader c(is, error);
   ShardMap m;
-  // Optional scalar lines in any order, then `shards N`.
   std::size_t count = 0;
-  while (true) {
-    if (!(is >> word)) {
-      fail(error, "missing shards line");
-      return std::nullopt;
-    }
-    if (word == "shards") {
-      if (!(is >> count) || count < 1 ||
-          count > static_cast<std::size_t>(kMaxShards)) {
-        fail(error, "bad shards count");
-        return std::nullopt;
-      }
-      break;
-    }
-    if (word == "epoch") {
-      if (!(is >> m.epoch_)) {
-        fail(error, "bad epoch line");
-        return std::nullopt;
-      }
-    } else if (word == "replication") {
-      if (!(is >> m.replication_) || m.replication_ < 1) {
-        fail(error, "bad replication line");
-        return std::nullopt;
-      }
-    } else if (word == "vnodes") {
-      if (!(is >> m.vnodes_) || m.vnodes_ < 1 || m.vnodes_ > kMaxVnodes) {
-        fail(error, "bad vnodes line");
-        return std::nullopt;
-      }
-    } else {
-      fail(error, "unknown line '" + word + "'");
-      return std::nullopt;
-    }
+  c.header("starring-shard-map", /*file=*/true);
+  c.optionals(
+      {"epoch", "replication", "vnodes"},
+      [&](std::size_t k, const std::string& word) {
+        switch (k) {
+          case 0: return c.num(&m.epoch_);
+          case 1: return c.num(&m.replication_, 1);
+          case 2: return c.num(&m.vnodes_, 1, kMaxVnodes);
+        }
+        return c.fail("unknown line '" + word + "'");
+      },
+      "shards");
+  c.check(c.num(&count, 1, kMaxShards), "bad shards count");
+  for (std::size_t i = 0; i < count && c.key("shard"); ++i) {
+    int id = -1;
+    std::string ep;
+    c.check(c.num(&id, 0) && c.token(&ep), "bad shard line");
+    const auto endpoint = net::parse_endpoint(ep);
+    if (!endpoint)
+      c.fail("bad endpoint '" + ep + "'");
+    else if (m.find(id) != nullptr)
+      c.fail("duplicate shard id " + std::to_string(id));
+    else
+      m.shards_.push_back({id, *endpoint});
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    ShardInfo s;
-    std::string ep_text;
-    if (!(is >> word >> s.id >> ep_text) || word != "shard" || s.id < 0) {
-      fail(error, "bad shard line");
-      return std::nullopt;
-    }
-    const auto ep = net::parse_endpoint(ep_text);
-    if (!ep) {
-      fail(error, "bad endpoint '" + ep_text + "'");
-      return std::nullopt;
-    }
-    s.endpoint = *ep;
-    for (const ShardInfo& prev : m.shards_) {
-      if (prev.id == s.id) {
-        fail(error, "duplicate shard id " + std::to_string(s.id));
-        return std::nullopt;
-      }
-    }
-    m.shards_.push_back(std::move(s));
-  }
-  if (!(is >> word) || word != "end") {
-    fail(error, "missing end line");
-    return std::nullopt;
-  }
-  if (m.replication_ > static_cast<int>(m.shards_.size())) {
-    fail(error, "replication exceeds shard count");
-    return std::nullopt;
-  }
+  c.end();
+  c.check(m.replication_ <= static_cast<int>(m.shards_.size()),
+          "replication exceeds shard count");
   m.target_replication_ = m.replication_;
-  m.build_ring();
-  return m;
+  if (c.ok()) m.build_ring();
+  return c.finish(std::move(m));
 }
 
 ShardMap ShardMap::make(std::vector<ShardInfo> shards, std::uint64_t epoch,
@@ -113,11 +70,8 @@ ShardMap ShardMap::make(std::vector<ShardInfo> shards, std::uint64_t epoch,
 std::optional<ShardMap> ShardMap::load(const std::string& path,
                                        std::string* error) {
   std::ifstream in(path);
-  if (!in) {
-    fail(error, "cannot open " + path);
-    return std::nullopt;
-  }
-  return parse(in, error);
+  if (!in && error != nullptr) *error = "cannot open " + path;
+  return in ? parse(in, error) : std::nullopt;
 }
 
 const ShardInfo* ShardMap::find(int shard_id) const {
@@ -228,14 +182,14 @@ void ShardMap::set_replication(int target) {
 
 std::string ShardMap::to_text() const {
   std::ostringstream os;
-  os << "starring-shard-map v1\n";
-  os << "epoch " << epoch_ << "\n";
-  os << "replication " << replication_ << "\n";
-  os << "vnodes " << vnodes_ << "\n";
-  os << "shards " << shards_.size() << "\n";
+  RecordWriter w(os, "starring-shard-map");
+  w.line("epoch", epoch_)
+      .line("replication", replication_)
+      .line("vnodes", vnodes_)
+      .line("shards", shards_.size());
   for (const ShardInfo& s : shards_)
-    os << "shard " << s.id << " " << net::to_string(s.endpoint) << "\n";
-  os << "end\n";
+    w.line("shard", s.id, net::to_string(s.endpoint));
+  w.end();
   return os.str();
 }
 

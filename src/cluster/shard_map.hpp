@@ -13,8 +13,9 @@
 //   shard 2 127.0.0.1:47183
 //   end
 //
-// epoch/replication/vnodes are optional (defaults 1/2/128) and must
-// precede the shards section.  Shard ids are arbitrary distinct
+// epoch/replication/vnodes are optional (defaults 1/2/128), each at
+// most once, and must precede the shards section; the record grammar
+// and its reader are util/io's (RecordReader).  Shard ids are arbitrary distinct
 // non-negative integers — placement hashes the *id*, not the position
 // in the file, so two maps listing the same shards in different order
 // place every key identically.

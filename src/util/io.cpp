@@ -19,10 +19,6 @@ namespace starring {
 
 namespace {
 
-void fail(std::string* error, const std::string& why) {
-  if (error != nullptr) *error = why;
-}
-
 /// Parse a 1-based permutation literal like "2134567" (n <= 9 digits) or
 /// dot-separated "2.1.10.3..." for larger n.
 std::optional<Perm> parse_perm(const std::string& text, int n) {
@@ -39,7 +35,7 @@ std::optional<Perm> parse_perm(const std::string& text, int n) {
       if (tok.empty()) return std::nullopt;
       int v = 0;
       for (const char c : tok) {
-        if (c < '0' || c > '9') return std::nullopt;
+        if (c < '0' || c > '9' || v > kMaxN) return std::nullopt;
         v = v * 10 + (c - '0');
       }
       syms.push_back(v - 1);
@@ -54,100 +50,148 @@ std::optional<Perm> parse_perm(const std::string& text, int n) {
   return Perm::of(syms);
 }
 
-void write_faults(std::ostream& os, const FaultSet& faults) {
+/// One name per enumerator, for both directions of the codec.
+template <class E>
+using NameTable = std::initializer_list<std::pair<E, const char*>>;
+
+template <class E>
+const char* name_of(NameTable<E> table, E value) {
+  for (const auto& [v, name] : table)
+    if (v == value) return name;
+  return table.begin()->second;
+}
+
+template <class E>
+std::optional<E> parse_name(NameTable<E> table, std::string_view token) {
+  for (const auto& [v, name] : table)
+    if (token == name) return v;
+  return std::nullopt;
+}
+
+/// The bare one-word command lines.  FAIL carries a payload and is
+/// framed apart.
+constexpr NameTable<RequestKind> kBareCommands = {
+    {RequestKind::kStats, "STATS"},     {RequestKind::kPing, "PING"},
+    {RequestKind::kHealth, "HEALTH"},   {RequestKind::kTrace, "TRACE"},
+    {RequestKind::kSlow, "SLOW"},       {RequestKind::kMembers, "MEMBERS"},
+    {RequestKind::kLeave, "LEAVE"},
+};
+
+constexpr NameTable<ServiceStatus> kStatusNames = {
+    {ServiceStatus::kOk, "ok"},
+    {ServiceStatus::kError, "error"},
+    {ServiceStatus::kRejected, "rejected"},
+    {ServiceStatus::kTimeout, "timeout"},
+    {ServiceStatus::kThrottled, "throttled"},
+};
+
+constexpr NameTable<MemberWireState> kMemberStates = {
+    {MemberWireState::kAlive, "alive"},
+    {MemberWireState::kSuspect, "suspect"},
+    {MemberWireState::kDead, "dead"},
+    {MemberWireState::kLeft, "left"},
+};
+
+constexpr NameTable<GossipMessage::Kind> kGossipKinds = {
+    {GossipMessage::Kind::kPing, "ping"},
+    {GossipMessage::Kind::kPingReq, "ping-req"},
+    {GossipMessage::Kind::kAck, "ack"},
+    {GossipMessage::Kind::kNack, "nack"},
+    {GossipMessage::Kind::kJoin, "join"},
+    {GossipMessage::Kind::kLeave, "leave"},
+};
+
+void write_faults(RecordWriter& w, const FaultSet& faults) {
   const auto vf = faults.vertex_faults();
-  os << "vertex_faults " << vf.size() << "\n";
-  for (const Perm& f : vf) os << f.to_string() << "\n";
+  w.line("vertex_faults", vf.size());
+  for (const Perm& f : vf) w.os << f.to_string() << "\n";
   const auto ef = faults.edge_faults();
-  os << "edge_faults " << ef.size() << "\n";
+  w.line("edge_faults", ef.size());
   for (const EdgeFault& f : ef)
-    os << f.u.to_string() << ' ' << f.v.to_string() << "\n";
+    w.os << f.u.to_string() << ' ' << f.v.to_string() << "\n";
 }
 
-/// Read the `vertex_faults`/`edge_faults` sections shared by embedding
+/// The `vertex_faults`/`edge_faults` sections shared by embedding
 /// files and service requests.
-bool read_faults(std::istream& is, int n, FaultSet* out, std::string* error) {
-  // Structural bound on any fault count: there are only n! vertices
-  // (and n!*(n-1)/2 edges, but one shared cap keeps the check simple).
-  // Rejecting oversized counts up front stops a garbage frame from
-  // driving an unbounded parse loop.
+void read_faults(RecordReader& c, int n, FaultSet* out) {
+  if (!c.ok()) return;  // n is unchecked
+  // One structural cap on both counts: there are only n! vertices (and
+  // n!*(n-1)/2 edges, but one shared cap keeps the check simple).
   const std::size_t cap = factorial(n);
-  std::string word;
   std::size_t count = 0;
-  if (!(is >> word >> count) || word != "vertex_faults") {
-    fail(error, "bad vertex_faults line");
-    return false;
+  std::string a;
+  std::string b;
+  c.count("vertex_faults", cap, &count, "vertex_faults count out of range");
+  for (std::size_t i = 0;
+       i < count && c.check(c.token(&a), "truncated vertex faults"); ++i) {
+    if (const auto p = parse_perm(a, n))
+      out->add_vertex(*p);
+    else
+      c.fail("bad vertex fault '" + a + "'");
   }
-  if (count > cap) {
-    fail(error, "vertex_faults count out of range");
-    return false;
+  c.count("edge_faults", cap, &count, "edge_faults count out of range");
+  for (std::size_t i = 0; i < count && c.check(c.token(&a) && c.token(&b),
+                                               "truncated edge faults");
+       ++i) {
+    const auto u = parse_perm(a, n);
+    const auto v = parse_perm(b, n);
+    if (u && v && u->adjacent(*v))
+      out->add_edge(*u, *v);
+    else
+      c.fail("bad edge fault '" + a + " " + b + "'");
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string lit;
-    if (!(is >> lit)) {
-      fail(error, "truncated vertex faults");
-      return false;
-    }
-    const auto p = parse_perm(lit, n);
-    if (!p) {
-      fail(error, "bad vertex fault '" + lit + "'");
-      return false;
-    }
-    out->add_vertex(*p);
-  }
-
-  if (!(is >> word >> count) || word != "edge_faults") {
-    fail(error, "bad edge_faults line");
-    return false;
-  }
-  if (count > cap) {
-    fail(error, "edge_faults count out of range");
-    return false;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string la;
-    std::string lb;
-    if (!(is >> la >> lb)) {
-      fail(error, "truncated edge faults");
-      return false;
-    }
-    const auto a = parse_perm(la, n);
-    const auto b = parse_perm(lb, n);
-    if (!a || !b || !a->adjacent(*b)) {
-      fail(error, "bad edge fault '" + la + " " + lb + "'");
-      return false;
-    }
-    out->add_edge(*a, *b);
-  }
-  return true;
 }
 
-/// Read `count` whitespace-separated vertex ids of S_n.
-bool read_sequence(std::istream& is, int n, std::size_t count,
-                   std::vector<VertexId>* out, std::string* error) {
-  const std::uint64_t limit = factorial(n);
-  if (count > limit) {
-    // A sequence cannot visit more than n! vertices; an oversized count
-    // is a framing error, refused before it can size an allocation.
-    fail(error, "sequence count out of range");
-    return false;
+/// A member address is the identity key of the whole membership layer,
+/// so garbage is rejected at the parse boundary: bounded length and a
+/// well-formed HOST:PORT per util/net's grammar.
+bool valid_member_addr(const std::string& addr) {
+  return !addr.empty() && addr.size() <= kMaxMemberAddrLen &&
+         net::parse_endpoint(addr).has_value();
+}
+
+/// `<addr> <shard-id> <incarnation> <state>`, the member quad of the
+/// gossip `from`/`update` lines and the membership `member` lines.
+void read_member(RecordReader& c, MemberRecord* m) {
+  std::string state;
+  c.check(c.token(&m->addr) && valid_member_addr(m->addr) &&
+              c.num(&m->shard_id, -1) &&
+              c.num(&m->incarnation, 0, UINT64_MAX - 1) && c.token(&state),
+          "bad member tokens");
+  if (const auto parsed = parse_name(kMemberStates, state))
+    m->state = *parsed;
+  else
+    c.fail("bad member state '" + state + "'");
+}
+
+void write_member(RecordWriter& w, std::string_view key,
+                  const MemberRecord& m) {
+  w.line(key, m.addr, m.shard_id, m.incarnation, member_state_name(m.state));
+}
+
+/// Body of a gossip record, after its header.
+void read_gossip_body(RecordReader& c, GossipMessage* m) {
+  std::string word;
+  c.text("kind", &word);
+  if (const auto kind = parse_name(kGossipKinds, word))
+    m->kind = *kind;
+  else
+    c.fail("bad gossip kind '" + word + "'");
+  if (c.key("from")) read_member(c, &m->from);
+  c.check(c.token(&word), "missing updates line");
+  if (word == "target") {
+    c.check(c.token(&m->target) && valid_member_addr(m->target),
+            "bad target line");
+    c.check(c.token(&word), "missing updates line");
   }
-  // Bound the up-front reservation independently of the wire count:
-  // beyond this the vector grows as tokens actually arrive.
-  out->reserve(std::min<std::size_t>(count, 1u << 16));
-  for (std::size_t i = 0; i < count; ++i) {
-    VertexId id = 0;
-    if (!(is >> id)) {
-      fail(error, "truncated sequence");
-      return false;
-    }
-    if (id >= limit) {
-      fail(error, "vertex id out of range: " + std::to_string(id));
-      return false;
-    }
-    out->push_back(id);
-  }
-  return true;
+  c.check(m->kind != GossipMessage::Kind::kPingReq || !m->target.empty(),
+          "ping-req without target");
+  std::size_t count = 0;
+  c.check(word == "updates" && c.num(&count, 0, kMaxMemberRecords),
+          "bad updates line");
+  for (std::size_t i = 0; i < count && c.key("update"); ++i)
+    read_member(c, &m->updates.emplace_back());
+  c.end();
 }
 
 }  // namespace
@@ -190,116 +234,239 @@ double double_arg(int argc, char** argv, int* i) {
   return parse_double(argv[++*i]).value_or(-1);
 }
 
-bool write_embedding(std::ostream& os, const EmbeddingFile& e) {
-  os << "starring-embedding v1\n";
-  os << "n " << e.n << "\n";
-  os << "kind " << (e.is_ring ? "ring" : "path") << "\n";
-  write_faults(os, e.faults);
-  os << "sequence " << e.sequence.size() << "\n";
-  for (std::size_t i = 0; i < e.sequence.size(); ++i)
-    os << e.sequence[i] << ((i + 1) % 16 == 0 ? '\n' : ' ');
+// --- RecordReader / RecordWriter -------------------------------------
+
+bool RecordReader::fail(std::string_view why) {
+  if (ok_ && error_ != nullptr) *error_ = why;
+  ok_ = false;
+  return false;
+}
+
+bool RecordReader::bad_line(std::string_view label) {
+  return ok_ && fail("bad " + std::string(label) + " line");
+}
+
+bool RecordReader::missing(std::string_view what) {
+  return ok_ && fail("missing " + std::string(what) + " line");
+}
+
+bool RecordReader::token(std::string* out) {
+  if (!ok_) return false;
+  is_.width(static_cast<std::streamsize>(kMaxTokenLen + 1));
+  return static_cast<bool>(is_ >> *out);
+}
+
+bool RecordReader::expect(std::string_view word) {
+  return token(&tok_) && tok_ == word;
+}
+
+bool RecordReader::value(std::uint64_t* out) {
+  if (!token(&tok_)) return false;
+  const auto v = parse_u64(tok_);
+  if (v) *out = *v;
+  return v.has_value();
+}
+
+bool RecordReader::value(std::int64_t* out) {
+  if (!token(&tok_)) return false;
+  const bool neg = tok_.size() > 1 && tok_[0] == '-';
+  const auto v = parse_u64(neg ? tok_.substr(1) : tok_);
+  if (!v || *v > static_cast<std::uint64_t>(INT64_MAX)) return false;
+  *out = neg ? -static_cast<std::int64_t>(*v) : static_cast<std::int64_t>(*v);
+  return true;
+}
+
+bool RecordReader::line(std::string* out, bool trim) {
+  out->clear();
+  if (!ok_) return false;
+  using Traits = std::istream::traits_type;
+  std::streambuf* in = is_.rdbuf();
+  bool any = false;
+  for (Traits::int_type ch; !Traits::eq_int_type(ch = in->sbumpc(),
+                                                 Traits::eof());) {
+    any = true;
+    if (ch == '\n') break;
+    if (out->size() == kMaxLineLen) return fail("line too long");
+    out->push_back(Traits::to_char_type(ch));
+  }
+  if (!any) is_.setstate(std::ios::eofbit | std::ios::failbit);
+  if (trim) {
+    const auto first = out->find_first_not_of(" \t");
+    out->erase(0, first == std::string::npos ? out->size() : first);
+    out->erase(out->find_last_not_of(" \t\r") + 1);
+  }
+  return any;
+}
+
+bool RecordReader::open(std::string* magic, bool file) {
+  magic->clear();
+  return token(magic) || (file && ok_) || fail("");  // "": clean end
+}
+
+bool RecordReader::version(bool known) {
+  return (known && expect("v1")) || fail("bad header");
+}
+
+bool RecordReader::key(std::string_view key, std::string_view label) {
+  return expect(key) || bad_line(label.empty() ? key : label);
+}
+
+bool RecordReader::text(std::string_view key, std::string* out,
+                        std::size_t cap) {
+  return (expect(key) && token(out) && out->size() <= cap) || bad_line(key);
+}
+
+bool RecordReader::choice(std::string_view key, std::string_view no,
+                          std::string_view yes, bool* out) {
+  if (!expect(key) || !token(&tok_) || (tok_ != no && tok_ != yes))
+    return bad_line(key);
+  *out = tok_ == yes;
+  return true;
+}
+
+bool RecordReader::count(std::string_view key, std::size_t cap,
+                         std::size_t* out, std::string_view over) {
+  if (!expect(key) || !num(out)) return bad_line(key);
+  return *out <= cap || (over.empty() ? bad_line(key) : fail(over));
+}
+
+bool RecordReader::ids(std::string_view key, int n,
+                       std::vector<VertexId>* out) {
+  if (!ok_) return false;  // n is unchecked
+  const std::uint64_t limit = factorial(n);
+  std::size_t size = 0;
+  if (!count(key, limit, &size, "sequence count out of range")) return false;
+  out->reserve(std::min<std::size_t>(size, 1u << 16));
+  for (std::size_t i = 0; i < size; ++i) {
+    VertexId id = 0;
+    if (!(is_ >> id)) return fail("truncated sequence");
+    if (id >= limit)
+      return fail("vertex id out of range: " + std::to_string(id));
+    out->push_back(id);
+  }
+  return true;
+}
+
+bool RecordReader::end() { return expect("end") || fail("missing end line"); }
+
+RecordWriter& RecordWriter::ids(std::string_view key,
+                                const std::vector<VertexId>& ids) {
+  line(key, ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    os << ids[i] << ((i + 1) % 16 == 0 ? '\n' : ' ');
   os << "\n";
-  return static_cast<bool>(os);
+  return *this;
+}
+
+bool RecordWriter::end() {
+  os << "end\n";
+  return ok();
+}
+
+// --- the records -----------------------------------------------------
+
+bool write_embedding(std::ostream& os, const EmbeddingFile& e) {
+  RecordWriter w(os, "starring-embedding");
+  w.line("n", e.n).line("kind", e.is_ring ? "ring" : "path");
+  write_faults(w, e.faults);
+  w.ids("sequence", e.sequence);
+  return w.ok();
 }
 
 std::optional<EmbeddingFile> read_embedding(std::istream& is,
                                             std::string* error) {
-  std::string word;
-  std::string version;
-  if (!(is >> word >> version) || word != "starring-embedding" ||
-      version != "v1") {
-    fail(error, "bad header");
-    return std::nullopt;
-  }
+  RecordReader c(is, error);
   EmbeddingFile e;
-  if (!(is >> word >> e.n) || word != "n" || e.n < 1 || e.n > kMaxN) {
-    fail(error, "bad dimension line");
-    return std::nullopt;
-  }
-  std::string kind;
-  if (!(is >> word >> kind) || word != "kind" ||
-      (kind != "ring" && kind != "path")) {
-    fail(error, "bad kind line");
-    return std::nullopt;
-  }
-  e.is_ring = kind == "ring";
-
-  if (!read_faults(is, e.n, &e.faults, error)) return std::nullopt;
-
-  std::size_t count = 0;
-  if (!(is >> word >> count) || word != "sequence") {
-    fail(error, "bad sequence line");
-    return std::nullopt;
-  }
-  if (!read_sequence(is, e.n, count, &e.sequence, error)) return std::nullopt;
-  return e;
+  c.header("starring-embedding", /*file=*/true);
+  c.scalar("n", &e.n, 1, kMaxN, "dimension");
+  c.choice("kind", "path", "ring", &e.is_ring);
+  read_faults(c, e.n, &e.faults);
+  c.ids("sequence", e.n, &e.sequence);
+  return c.finish(std::move(e));
 }
-
-namespace {
-
-/// The bare one-word command lines, for both directions of the codec.
-/// FAIL carries a payload and is framed apart.
-constexpr std::pair<RequestKind, const char*> kBareCommands[] = {
-    {RequestKind::kStats, "STATS"},     {RequestKind::kPing, "PING"},
-    {RequestKind::kHealth, "HEALTH"},   {RequestKind::kTrace, "TRACE"},
-    {RequestKind::kSlow, "SLOW"},       {RequestKind::kMembers, "MEMBERS"},
-    {RequestKind::kLeave, "LEAVE"},
-};
-
-}  // namespace
 
 bool write_request(std::ostream& os, const ServiceRequest& r) {
   for (const auto& [kind, word] : kBareCommands)
-    if (r.kind == kind) {
-      os << word << "\n";
-      return static_cast<bool>(os);
-    }
-  if (r.kind == RequestKind::kFail) {
-    os << "FAIL " << r.fail_config << "\n";
-    return static_cast<bool>(os);
-  }
-  if (r.kind == RequestKind::kGossip) {
-    // A gossip request without a payload is a caller bug, reported as
-    // a stream failure rather than silently framing garbage.
-    if (!r.gossip) return false;
-    return write_gossip(os, *r.gossip);
-  }
+    if (r.kind == kind) return static_cast<bool>(os << word << "\n");
+  if (r.kind == RequestKind::kFail)
+    return static_cast<bool>(os << "FAIL " << r.fail_config << "\n");
+  // A gossip request without a payload is a caller bug, reported as a
+  // stream failure rather than silently framing garbage.
+  if (r.kind == RequestKind::kGossip)
+    return r.gossip != nullptr && write_gossip(os, *r.gossip);
   if (r.kind == RequestKind::kSeed) {
-    os << "starring-seed v1\n";
-    os << "n " << r.n << "\n";
-    os << "key " << r.seed_key << "\n";
-    os << "ring " << r.seed_ring.size() << "\n";
-    for (std::size_t i = 0; i < r.seed_ring.size(); ++i)
-      os << r.seed_ring[i] << ((i + 1) % 16 == 0 ? '\n' : ' ');
-    os << "\n";
-    os << "end\n";
-    return static_cast<bool>(os);
+    RecordWriter w(os, "starring-seed");
+    w.line("n", r.n).line("key", r.seed_key).ids("ring", r.seed_ring);
+    return w.end();
   }
-  os << "starring-request v1\n";
-  os << "id " << r.id << "\n";
-  os << "n " << r.n << "\n";
-  write_faults(os, r.faults);
-  os << "verify " << (r.verify ? 1 : 0) << "\n";
+  RecordWriter w(os, "starring-request");
+  w.line("id", r.id).line("n", r.n);
+  write_faults(w, r.faults);
+  w.line("verify", r.verify);
   // Optional lines are omitted at their defaults, so records written
   // here stay parseable by readers of the original v1 grammar.
-  if (!r.tenant.empty()) os << "tenant " << r.tenant << "\n";
-  if (r.deadline_ms > 0) os << "deadline_ms " << r.deadline_ms << "\n";
-  if (r.trace_id != 0)
-    os << "trace " << r.trace_id << ' ' << r.parent_span_id << "\n";
-  os << "end\n";
-  return static_cast<bool>(os);
+  if (!r.tenant.empty()) w.line("tenant", r.tenant);
+  if (r.deadline_ms > 0) w.line("deadline_ms", r.deadline_ms);
+  if (r.trace_id != 0) w.line("trace", r.trace_id, r.parent_span_id);
+  return w.end();
 }
 
-const char* status_name(ServiceStatus s) {
-  switch (s) {
-    case ServiceStatus::kOk: return "ok";
-    case ServiceStatus::kError: return "error";
-    case ServiceStatus::kRejected: return "rejected";
-    case ServiceStatus::kTimeout: return "timeout";
-    case ServiceStatus::kThrottled: return "throttled";
+std::optional<ServiceRequest> read_request(std::istream& is,
+                                           std::string* error) {
+  RecordReader c(is, error);
+  ServiceRequest r;
+  std::string word;
+  if (!c.open(&word)) return std::nullopt;
+  if (const auto bare = parse_name(kBareCommands, word)) {
+    r.kind = *bare;
+    return r;
   }
-  return "?";
+  if (word == "FAIL") {
+    r.kind = RequestKind::kFail;
+    c.line(&r.fail_config, /*trim=*/true);
+    c.check(!r.fail_config.empty(), "FAIL needs a config");
+  } else if (word == "starring-gossip") {
+    r.kind = RequestKind::kGossip;
+    r.gossip = std::make_shared<GossipMessage>();
+    c.version(true);
+    read_gossip_body(c, r.gossip.get());
+  } else if (word == "starring-seed") {
+    r.kind = RequestKind::kSeed;
+    c.version(true);
+    c.scalar("n", &r.n, 1, kMaxN, "dimension");
+    c.text("key", &r.seed_key, kMaxSeedKeyLen);
+    c.ids("ring", r.n, &r.seed_ring);
+    c.end();
+  } else {
+    c.version(word == "starring-request");
+    c.scalar("id", &r.id);
+    c.scalar("n", &r.n, 1, kMaxN, "dimension");
+    read_faults(c, r.n, &r.faults);
+    c.scalar("verify", &r.verify);
+    c.optionals({"tenant", "deadline_ms", "trace"},
+                [&](std::size_t k, const std::string&) {
+                  switch (k) {
+                    case 0:  // one token, taken as the rest of the line
+                             // so a nameless `tenant` line cannot
+                             // swallow the `end` terminator as its name
+                      return c.line(&r.tenant, /*trim=*/true) &&
+                             !r.tenant.empty() &&
+                             r.tenant.size() <= kMaxTenantLen &&
+                             r.tenant.find_first_of(" \t") ==
+                                 std::string::npos;
+                    case 1:
+                      return c.num(&r.deadline_ms, 1);
+                    case 2:  // trace id 0 is the "no trace" sentinel
+                      return c.num(&r.trace_id, 1) &&
+                             c.num(&r.parent_span_id);
+                  }
+                  return false;  // unknown or repeated: no end line
+                });
+  }
+  return c.finish(std::move(r));
 }
+
+const char* status_name(ServiceStatus s) { return name_of(kStatusNames, s); }
 
 bool write_response(std::ostream& os, const ServiceResponse& r) {
   // Chaos site: a failed serialization looks exactly like a peer whose
@@ -308,585 +475,129 @@ bool write_response(std::ostream& os, const ServiceResponse& r) {
     os.setstate(std::ios::failbit);
     return false;
   }
-  os << "starring-response v1\n";
-  os << "id " << r.id << "\n";
-  if (r.status == ServiceStatus::kOk) {
-    os << "status ok\n";
-    os << "cache " << (r.cache_hit ? "hit" : "miss") << "\n";
-    os << "verified " << (r.verified ? 1 : 0) << "\n";
-    os << "ring " << r.ring.size() << "\n";
-    for (std::size_t i = 0; i < r.ring.size(); ++i)
-      os << r.ring[i] << ((i + 1) % 16 == 0 ? '\n' : ' ');
-    os << "\n";
-  } else {
-    os << "status " << status_name(r.status) << "\nreason " << r.reason
-       << "\n";
-  }
-  os << "end\n";
-  return static_cast<bool>(os);
-}
-
-namespace {
-
-/// Shared header handling: `starring-<what> v1` then `id <u64>`.  At a
-/// clean end of stream (no header token at all) reports success=false
-/// with *error cleared — the caller returns nullopt and the daemon
-/// treats it as an orderly shutdown.
-bool read_record_header(std::istream& is, const char* magic,
-                        std::uint64_t* id, std::string* error) {
-  std::string word;
-  if (!(is >> word)) {
-    fail(error, "");  // clean EOF
-    return false;
-  }
-  std::string version;
-  if (word != magic || !(is >> version) || version != "v1") {
-    fail(error, "bad header");
-    return false;
-  }
-  if (!(is >> word >> *id) || word != "id") {
-    fail(error, "bad id line");
-    return false;
-  }
-  return true;
-}
-
-/// The record terminator keeps a stream of records self-framing.
-bool read_end(std::istream& is, std::string* error) {
-  std::string word;
-  if (!(is >> word) || word != "end") {
-    fail(error, "missing end line");
-    return false;
-  }
-  return true;
-}
-
-/// A member address is the identity key of the whole membership layer,
-/// so garbage is rejected at the parse boundary: bounded length and a
-/// well-formed HOST:PORT per util/net's grammar.
-bool valid_member_addr(const std::string& addr) {
-  return !addr.empty() && addr.size() <= kMaxMemberAddrLen &&
-         net::parse_endpoint(addr).has_value();
-}
-
-/// `<addr> <shard-id> <incarnation> <state>` — the quad both the
-/// gossip `from`/`update` lines and the membership `member` lines use.
-bool read_member_tokens(std::istream& is, MemberRecord* m,
-                        std::string* error) {
-  std::string state;
-  if (!(is >> m->addr >> m->shard_id >> m->incarnation >> state) ||
-      m->shard_id < -1 || !valid_member_addr(m->addr)) {
-    fail(error, "bad member tokens");
-    return false;
-  }
-  const auto parsed = parse_member_state(state);
-  if (!parsed) {
-    fail(error, "bad member state '" + state + "'");
-    return false;
-  }
-  m->state = *parsed;
-  return true;
-}
-
-void write_member_tokens(std::ostream& os, const MemberRecord& m) {
-  os << m.addr << ' ' << m.shard_id << ' ' << m.incarnation << ' '
-     << member_state_name(m.state);
-}
-
-const char* gossip_kind_name(GossipMessage::Kind k) {
-  switch (k) {
-    case GossipMessage::Kind::kPing:
-      return "ping";
-    case GossipMessage::Kind::kPingReq:
-      return "ping-req";
-    case GossipMessage::Kind::kAck:
-      return "ack";
-    case GossipMessage::Kind::kNack:
-      return "nack";
-    case GossipMessage::Kind::kJoin:
-      return "join";
-    case GossipMessage::Kind::kLeave:
-      return "leave";
-  }
-  return "ping";
-}
-
-std::optional<GossipMessage::Kind> parse_gossip_kind(
-    const std::string& token) {
-  if (token == "ping") return GossipMessage::Kind::kPing;
-  if (token == "ping-req") return GossipMessage::Kind::kPingReq;
-  if (token == "ack") return GossipMessage::Kind::kAck;
-  if (token == "nack") return GossipMessage::Kind::kNack;
-  if (token == "join") return GossipMessage::Kind::kJoin;
-  if (token == "leave") return GossipMessage::Kind::kLeave;
-  return std::nullopt;
-}
-
-/// Body of a gossip record, after `starring-gossip v1` has been
-/// consumed (read_request dispatches on the magic token itself).
-std::optional<GossipMessage> read_gossip_body(std::istream& is,
-                                              std::string* error) {
-  GossipMessage m;
-  std::string word;
-  std::string kind;
-  if (!(is >> word >> kind) || word != "kind") {
-    fail(error, "bad kind line");
-    return std::nullopt;
-  }
-  const auto parsed_kind = parse_gossip_kind(kind);
-  if (!parsed_kind) {
-    fail(error, "bad gossip kind '" + kind + "'");
-    return std::nullopt;
-  }
-  m.kind = *parsed_kind;
-  if (!(is >> word) || word != "from") {
-    fail(error, "bad from line");
-    return std::nullopt;
-  }
-  if (!read_member_tokens(is, &m.from, error)) return std::nullopt;
-  if (!(is >> word)) {
-    fail(error, "missing updates line");
-    return std::nullopt;
-  }
-  if (word == "target") {
-    if (!(is >> m.target) || !valid_member_addr(m.target)) {
-      fail(error, "bad target line");
-      return std::nullopt;
-    }
-    if (!(is >> word)) {
-      fail(error, "missing updates line");
-      return std::nullopt;
-    }
-  }
-  if (m.kind == GossipMessage::Kind::kPingReq && m.target.empty()) {
-    fail(error, "ping-req without target");
-    return std::nullopt;
-  }
-  std::size_t count = 0;
-  if (word != "updates" || !(is >> count) || count > kMaxMemberRecords) {
-    fail(error, "bad updates line");
-    return std::nullopt;
-  }
-  m.updates.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    MemberRecord u;
-    if (!(is >> word) || word != "update") {
-      fail(error, "bad update line");
-      return std::nullopt;
-    }
-    if (!read_member_tokens(is, &u, error)) return std::nullopt;
-    m.updates.push_back(std::move(u));
-  }
-  if (!read_end(is, error)) return std::nullopt;
-  return m;
-}
-
-}  // namespace
-
-std::optional<ServiceRequest> read_request(std::istream& is,
-                                           std::string* error) {
-  ServiceRequest r;
-  {
-    // Bare command lines are recognized before the normal record
-    // header; anything else must be a full record.
-    std::string word;
-    if (!(is >> word)) {
-      fail(error, "");  // clean EOF
-      return std::nullopt;
-    }
-    for (const auto& [kind, bare] : kBareCommands)
-      if (word == bare) {
-        r.kind = kind;
-        return r;
-      }
-    if (word == "starring-gossip") {
-      std::string version;
-      if (!(is >> version) || version != "v1") {
-        fail(error, "bad header");
-        return std::nullopt;
-      }
-      auto g = read_gossip_body(is, error);
-      if (!g) return std::nullopt;
-      r.kind = RequestKind::kGossip;
-      r.gossip = std::make_shared<GossipMessage>(std::move(*g));
-      return r;
-    }
-    if (word == "starring-seed") {
-      std::string version;
-      if (!(is >> version) || version != "v1") {
-        fail(error, "bad header");
-        return std::nullopt;
-      }
-      r.kind = RequestKind::kSeed;
-      if (!(is >> word >> r.n) || word != "n" || r.n < 1 || r.n > kMaxN) {
-        fail(error, "bad dimension line");
-        return std::nullopt;
-      }
-      if (!(is >> word >> r.seed_key) || word != "key" ||
-          r.seed_key.size() > kMaxSeedKeyLen) {
-        fail(error, "bad key line");
-        return std::nullopt;
-      }
-      std::size_t count = 0;
-      if (!(is >> word >> count) || word != "ring") {
-        fail(error, "bad ring line");
-        return std::nullopt;
-      }
-      if (!read_sequence(is, r.n, count, &r.seed_ring, error))
-        return std::nullopt;
-      if (!read_end(is, error)) return std::nullopt;
-      return r;
-    }
-    if (word == "FAIL") {
-      r.kind = RequestKind::kFail;
-      std::getline(is, r.fail_config);
-      // Trim the separating blank and any CR so the payload is exactly
-      // the failpoint config grammar.
-      while (!r.fail_config.empty() && (r.fail_config.front() == ' ' ||
-                                        r.fail_config.front() == '\t'))
-        r.fail_config.erase(r.fail_config.begin());
-      while (!r.fail_config.empty() && (r.fail_config.back() == '\r' ||
-                                        r.fail_config.back() == ' '))
-        r.fail_config.pop_back();
-      if (r.fail_config.empty()) {
-        fail(error, "FAIL needs a config");
-        return std::nullopt;
-      }
-      return r;
-    }
-    std::string version;
-    if (word != "starring-request" || !(is >> version) || version != "v1") {
-      fail(error, "bad header");
-      return std::nullopt;
-    }
-    if (!(is >> word >> r.id) || word != "id") {
-      fail(error, "bad id line");
-      return std::nullopt;
-    }
-  }
-  std::string word;
-  if (!(is >> word >> r.n) || word != "n" || r.n < 1 || r.n > kMaxN) {
-    fail(error, "bad dimension line");
-    return std::nullopt;
-  }
-  if (!read_faults(is, r.n, &r.faults, error)) return std::nullopt;
-  int verify = 0;
-  if (!(is >> word >> verify) || word != "verify" ||
-      (verify != 0 && verify != 1)) {
-    fail(error, "bad verify line");
-    return std::nullopt;
-  }
-  r.verify = verify == 1;
-  // Optional tenant / deadline_ms / trace lines (any order, at most
-  // once each), then the mandatory end terminator.
-  bool saw_tenant = false;
-  bool saw_deadline = false;
-  bool saw_trace = false;
-  while (true) {
-    if (!(is >> word)) {
-      fail(error, "missing end line");
-      return std::nullopt;
-    }
-    if (word == "end") break;
-    if (word == "trace" && !saw_trace) {
-      std::string tid_tok;
-      std::string psid_tok;
-      if (!(is >> tid_tok >> psid_tok)) {
-        fail(error, "bad trace line");
-        return std::nullopt;
-      }
-      const auto tid = parse_u64(tid_tok);
-      const auto psid = parse_u64(psid_tok);
-      // trace id 0 is the "no trace" sentinel; a record spelling it out
-      // is malformed, not a request without a trace.
-      if (!tid || !psid || *tid == 0) {
-        fail(error, "bad trace line");
-        return std::nullopt;
-      }
-      r.trace_id = *tid;
-      r.parent_span_id = *psid;
-      saw_trace = true;
-      continue;
-    }
-    if (word == "deadline_ms" && !saw_deadline) {
-      if (!(is >> r.deadline_ms) || r.deadline_ms <= 0) {
-        fail(error, "bad deadline_ms line");
-        return std::nullopt;
-      }
-      saw_deadline = true;
-      continue;
-    }
-    if (word == "tenant" && !saw_tenant) {
-      // The name is the rest of the line (one token): taking it with
-      // getline instead of >> keeps a nameless `tenant` line from
-      // swallowing the `end` terminator as its value.
-      std::string rest;
-      std::getline(is, rest);
-      while (!rest.empty() && (rest.front() == ' ' || rest.front() == '\t'))
-        rest.erase(rest.begin());
-      while (!rest.empty() && (rest.back() == '\r' || rest.back() == ' ' ||
-                               rest.back() == '\t'))
-        rest.pop_back();
-      if (rest.empty() || rest.size() > kMaxTenantLen ||
-          rest.find_first_of(" \t") != std::string::npos) {
-        fail(error, "bad tenant line");
-        return std::nullopt;
-      }
-      r.tenant = std::move(rest);
-      saw_tenant = true;
-      continue;
-    }
-    fail(error, "missing end line");
-    return std::nullopt;
-  }
-  return r;
+  RecordWriter w(os, "starring-response");
+  w.line("id", r.id).line("status", status_name(r.status));
+  if (r.status == ServiceStatus::kOk)
+    w.line("cache", r.cache_hit ? "hit" : "miss")
+        .line("verified", r.verified)
+        .ids("ring", r.ring);
+  else
+    w.line("reason", r.reason);
+  return w.end();
 }
 
 std::optional<ServiceResponse> read_response(std::istream& is,
                                              std::string* error) {
+  RecordReader c(is, error);
   ServiceResponse r;
-  if (!read_record_header(is, "starring-response", &r.id, error))
-    return std::nullopt;
-  std::string word;
   std::string status;
-  if (!(is >> word >> status) || word != "status") {
-    fail(error, "bad status line");
-    return std::nullopt;
+  c.header("starring-response");
+  c.scalar("id", &r.id);
+  c.text("status", &status);
+  if (const auto parsed = parse_name(kStatusNames, status))
+    r.status = *parsed;
+  else
+    c.fail("bad status '" + status + "'");
+  if (r.status == ServiceStatus::kOk) {
+    c.choice("cache", "miss", "hit", &r.cache_hit);
+    c.scalar("verified", &r.verified);
+    c.ids("ring", kMaxN, &r.ring);
+  } else if (c.key("reason")) {
+    c.line(&r.reason);
+    if (!r.reason.empty() && r.reason.front() == ' ') r.reason.erase(0, 1);
   }
-  if (status == "error" || status == "rejected" || status == "timeout" ||
-      status == "throttled") {
-    r.status = status == "error"       ? ServiceStatus::kError
-               : status == "rejected"  ? ServiceStatus::kRejected
-               : status == "throttled" ? ServiceStatus::kThrottled
-                                       : ServiceStatus::kTimeout;
-    if (!(is >> word) || word != "reason") {
-      fail(error, "bad reason line");
-      return std::nullopt;
-    }
-    std::getline(is, r.reason);
-    if (!r.reason.empty() && r.reason.front() == ' ')
-      r.reason.erase(r.reason.begin());
-    if (!read_end(is, error)) return std::nullopt;
-    return r;
-  }
-  if (status != "ok") {
-    fail(error, "bad status '" + status + "'");
-    return std::nullopt;
-  }
-  r.status = ServiceStatus::kOk;
-  std::string token;
-  if (!(is >> word >> token) || word != "cache" ||
-      (token != "hit" && token != "miss")) {
-    fail(error, "bad cache line");
-    return std::nullopt;
-  }
-  r.cache_hit = token == "hit";
-  int verified = 0;
-  if (!(is >> word >> verified) || word != "verified" ||
-      (verified != 0 && verified != 1)) {
-    fail(error, "bad verified line");
-    return std::nullopt;
-  }
-  r.verified = verified == 1;
-  std::size_t count = 0;
-  if (!(is >> word >> count) || word != "ring") {
-    fail(error, "bad ring line");
-    return std::nullopt;
-  }
-  // The ring sequence has no dimension context of its own; responses
-  // are validated against n! by the caller, which knows the request.
-  // Structurally we only bound ids by kMaxN!.
-  if (!read_sequence(is, kMaxN, count, &r.ring, error)) return std::nullopt;
-  if (!read_end(is, error)) return std::nullopt;
-  return r;
+  c.end();
+  return c.finish(std::move(r));
 }
 
 bool write_stats(std::ostream& os, const std::string& body) {
   std::string text = body;
   if (!text.empty() && text.back() != '\n') text.push_back('\n');
-  std::size_t lines = 0;
-  for (const char c : text)
-    if (c == '\n') ++lines;
-  os << "starring-stats v1\n";
-  os << "lines " << lines << "\n";
-  os << text;
-  os << "end\n";
-  return static_cast<bool>(os);
+  RecordWriter w(os, "starring-stats");
+  w.line("lines", std::count(text.begin(), text.end(), '\n'));
+  w.os << text;
+  return w.end();
 }
 
 std::optional<std::string> read_stats(std::istream& is, std::string* error) {
-  std::string word;
-  if (!(is >> word)) {
-    fail(error, "");  // clean EOF
-    return std::nullopt;
-  }
-  std::string version;
-  if (word != "starring-stats" || !(is >> version) || version != "v1") {
-    fail(error, "bad header");
-    return std::nullopt;
-  }
+  RecordReader c(is, error);
   std::size_t lines = 0;
-  if (!(is >> word >> lines) || word != "lines") {
-    fail(error, "bad lines line");
-    return std::nullopt;
-  }
-  std::string rest;
-  std::getline(is, rest);  // consume the remainder of the count line
   std::string body;
-  for (std::size_t i = 0; i < lines; ++i) {
-    std::string line;
-    if (!std::getline(is, line)) {
-      fail(error, "truncated stats body");
-      return std::nullopt;
-    }
-    body += line;
-    body.push_back('\n');
-  }
-  if (!read_end(is, error)) return std::nullopt;
-  return body;
+  std::string line;
+  c.header("starring-stats");
+  c.count("lines", SIZE_MAX, &lines);
+  c.line(&line);  // the remainder of the count line
+  for (std::size_t i = 0;
+       i < lines && c.check(c.line(&line), "truncated stats body"); ++i)
+    (body += line) += '\n';
+  c.end();
+  return c.finish(std::move(body));
 }
 
 bool write_health(std::ostream& os, const HealthInfo& h) {
-  os << "starring-health v1\n";
-  os << "shard " << h.shard_id << "\n";
-  os << "epoch " << h.epoch << "\n";
-  os << "cache_entries " << h.cache_entries << "\n";
-  os << "cache_hits " << h.cache_hits << "\n";
-  os << "cache_misses " << h.cache_misses << "\n";
-  os << "uptime_ms " << h.uptime_ms << "\n";
-  os << "inflight " << h.inflight << "\n";
-  os << "end\n";
-  return static_cast<bool>(os);
+  RecordWriter w(os, "starring-health");
+  w.line("shard", h.shard_id)
+      .line("epoch", h.epoch)
+      .line("cache_entries", h.cache_entries)
+      .line("cache_hits", h.cache_hits)
+      .line("cache_misses", h.cache_misses)
+      .line("uptime_ms", h.uptime_ms)
+      .line("inflight", h.inflight);
+  return w.end();
 }
 
 std::optional<HealthInfo> read_health(std::istream& is, std::string* error) {
-  std::string word;
-  if (!(is >> word)) {
-    fail(error, "");  // clean EOF
-    return std::nullopt;
-  }
-  std::string version;
-  if (word != "starring-health" || !(is >> version) || version != "v1") {
-    fail(error, "bad header");
-    return std::nullopt;
-  }
+  RecordReader c(is, error);
   HealthInfo h;
-  // shard -1 is legal: a proxy answers HEALTH too, and it is not a
-  // shard.
-  if (!(is >> word >> h.shard_id) || word != "shard" || h.shard_id < -1) {
-    fail(error, "bad shard line");
-    return std::nullopt;
-  }
-  if (!(is >> word >> h.epoch) || word != "epoch") {
-    fail(error, "bad epoch line");
-    return std::nullopt;
-  }
-  if (!(is >> word >> h.cache_entries) || word != "cache_entries") {
-    fail(error, "bad cache_entries line");
-    return std::nullopt;
-  }
-  if (!(is >> word >> h.cache_hits) || word != "cache_hits") {
-    fail(error, "bad cache_hits line");
-    return std::nullopt;
-  }
-  if (!(is >> word >> h.cache_misses) || word != "cache_misses") {
-    fail(error, "bad cache_misses line");
-    return std::nullopt;
-  }
-  // Optional uptime_ms / inflight lines (any order, at most once each);
-  // absent in records written before PR 9, so tolerated rather than
-  // required.
-  bool saw_uptime = false;
-  bool saw_inflight = false;
-  while (true) {
-    if (!(is >> word)) {
-      fail(error, "missing end line");
-      return std::nullopt;
-    }
-    if (word == "end") break;
-    if (word == "uptime_ms" && !saw_uptime && (is >> h.uptime_ms)) {
-      saw_uptime = true;
-      continue;
-    }
-    if (word == "inflight" && !saw_inflight && (is >> h.inflight)) {
-      saw_inflight = true;
-      continue;
-    }
-    fail(error, "bad " + word + " line");
-    return std::nullopt;
-  }
-  return h;
+  c.header("starring-health");
+  c.scalar("shard", &h.shard_id, -1);  // -1: a proxy, which is no shard
+  c.scalar("epoch", &h.epoch);
+  c.scalar("cache_entries", &h.cache_entries);
+  c.scalar("cache_hits", &h.cache_hits);
+  c.scalar("cache_misses", &h.cache_misses);
+  c.optionals({"uptime_ms", "inflight"},
+              [&](std::size_t k, const std::string& word) {
+                if (k == 2) return c.bad_line(word);
+                return c.num(k == 0 ? &h.uptime_ms : &h.inflight);
+              });
+  return c.finish(std::move(h));
 }
 
 bool write_trace(std::ostream& os, const TraceDump& d) {
-  os << "starring-trace v1\n";
-  os << "process " << (d.process.empty() ? "-" : d.process) << "\n";
-  os << "epoch_ns " << d.epoch_ns << "\n";
-  os << "dropped " << d.dropped << "\n";
-  os << "spans " << d.spans.size() << "\n";
+  RecordWriter w(os, "starring-trace");
+  w.line("process", d.process.empty() ? "-" : d.process)
+      .line("epoch_ns", d.epoch_ns)
+      .line("dropped", d.dropped)
+      .line("spans", d.spans.size());
   for (const obs::trace::SpanRecord& s : d.spans)
-    os << s.trace_id << ' ' << s.span_id << ' ' << s.parent_id << ' '
-       << s.start_ns << ' ' << s.dur_ns << ' ' << s.tid << ' '
-       << (s.name.empty() ? "-" : s.name) << "\n";
-  os << "end\n";
-  return static_cast<bool>(os);
+    w.os << s.trace_id << ' ' << s.span_id << ' ' << s.parent_id << ' '
+         << s.start_ns << ' ' << s.dur_ns << ' ' << s.tid << ' '
+         << (s.name.empty() ? "-" : s.name) << "\n";
+  return w.end();
 }
 
 std::optional<TraceDump> read_trace(std::istream& is, std::string* error) {
-  std::string word;
-  if (!(is >> word)) {
-    fail(error, "");  // clean EOF
-    return std::nullopt;
-  }
-  std::string version;
-  if (word != "starring-trace" || !(is >> version) || version != "v1") {
-    fail(error, "bad header");
-    return std::nullopt;
-  }
+  RecordReader c(is, error);
   TraceDump d;
-  if (!(is >> word >> d.process) || word != "process" ||
-      d.process.size() > kMaxTraceTokenLen) {
-    fail(error, "bad process line");
-    return std::nullopt;
-  }
+  std::string name;
+  c.header("starring-trace");
+  c.text("process", &d.process, kMaxTraceTokenLen);
   if (d.process == "-") d.process.clear();
-  if (!(is >> word >> d.epoch_ns) || word != "epoch_ns") {
-    fail(error, "bad epoch_ns line");
-    return std::nullopt;
-  }
-  if (!(is >> word >> d.dropped) || word != "dropped") {
-    fail(error, "bad dropped line");
-    return std::nullopt;
-  }
-  std::size_t count = 0;
-  if (!(is >> word >> count) || word != "spans") {
-    fail(error, "bad spans line");
-    return std::nullopt;
-  }
-  if (count > kMaxTraceSpans) {
-    fail(error, "spans count out of range");
-    return std::nullopt;
-  }
-  // Bound the up-front reservation independently of the wire count,
-  // like read_sequence: beyond this the vector grows as lines arrive.
-  d.spans.reserve(std::min<std::size_t>(count, 1u << 16));
-  for (std::size_t i = 0; i < count; ++i) {
-    obs::trace::SpanRecord s;
-    std::string name;
-    if (!(is >> s.trace_id >> s.span_id >> s.parent_id >> s.start_ns >>
-          s.dur_ns >> s.tid >> name)) {
-      fail(error, "truncated span list");
-      return std::nullopt;
-    }
-    if (name.size() > kMaxTraceTokenLen) {
-      fail(error, "bad span name");
-      return std::nullopt;
-    }
-    if (name != "-") s.name = std::move(name);
-    d.spans.push_back(std::move(s));
-  }
-  if (!read_end(is, error)) return std::nullopt;
-  return d;
+  c.scalar("epoch_ns", &d.epoch_ns);
+  c.scalar("dropped", &d.dropped);
+  c.list(
+      "spans", kMaxTraceSpans, &d.spans,
+      [&](obs::trace::SpanRecord& s) {
+        c.check(c.num(&s.trace_id) && c.num(&s.span_id) &&
+                    c.num(&s.parent_id) && c.num(&s.start_ns, 0) &&
+                    c.num(&s.dur_ns, 0) && c.num(&s.tid) && c.token(&name),
+                "truncated span list");
+        c.check(name.size() <= kMaxTraceTokenLen, "bad span name");
+        if (name != "-") s.name = name;
+      },
+      "spans count out of range");
+  c.end();
+  return c.finish(std::move(d));
 }
 
 bool write_merged_chrome_trace(std::ostream& os,
@@ -927,118 +638,55 @@ bool write_merged_chrome_trace(std::ostream& os,
 }
 
 const char* member_state_name(MemberWireState s) {
-  switch (s) {
-    case MemberWireState::kAlive:
-      return "alive";
-    case MemberWireState::kSuspect:
-      return "suspect";
-    case MemberWireState::kDead:
-      return "dead";
-    case MemberWireState::kLeft:
-      return "left";
-  }
-  return "alive";
+  return name_of(kMemberStates, s);
 }
 
 std::optional<MemberWireState> parse_member_state(std::string_view token) {
-  if (token == "alive") return MemberWireState::kAlive;
-  if (token == "suspect") return MemberWireState::kSuspect;
-  if (token == "dead") return MemberWireState::kDead;
-  if (token == "left") return MemberWireState::kLeft;
-  return std::nullopt;
+  return parse_name(kMemberStates, token);
 }
 
 bool write_gossip(std::ostream& os, const GossipMessage& m) {
-  os << "starring-gossip v1\n";
-  os << "kind " << gossip_kind_name(m.kind) << "\n";
-  os << "from ";
-  write_member_tokens(os, m.from);
-  os << "\n";
-  if (!m.target.empty()) os << "target " << m.target << "\n";
-  os << "updates " << m.updates.size() << "\n";
-  for (const MemberRecord& u : m.updates) {
-    os << "update ";
-    write_member_tokens(os, u);
-    os << "\n";
-  }
-  os << "end\n";
-  return static_cast<bool>(os);
+  RecordWriter w(os, "starring-gossip");
+  w.line("kind", name_of(kGossipKinds, m.kind));
+  write_member(w, "from", m.from);
+  if (!m.target.empty()) w.line("target", m.target);
+  w.line("updates", m.updates.size());
+  for (const MemberRecord& u : m.updates) write_member(w, "update", u);
+  return w.end();
 }
 
 std::optional<GossipMessage> read_gossip(std::istream& is,
                                          std::string* error) {
-  std::string word;
-  if (!(is >> word)) {
-    fail(error, "");  // clean EOF
-    return std::nullopt;
-  }
-  std::string version;
-  if (word != "starring-gossip" || !(is >> version) || version != "v1") {
-    fail(error, "bad header");
-    return std::nullopt;
-  }
-  return read_gossip_body(is, error);
+  RecordReader c(is, error);
+  GossipMessage m;
+  c.header("starring-gossip");
+  read_gossip_body(c, &m);
+  return c.finish(std::move(m));
 }
 
 bool write_membership(std::ostream& os, const MembershipRecord& m) {
-  os << "starring-membership v1\n";
-  os << "epoch " << m.epoch << "\n";
-  os << "replication " << m.replication << "\n";
-  os << "vnodes " << m.vnodes << "\n";
-  os << "members " << m.members.size() << "\n";
-  for (const MemberRecord& r : m.members) {
-    os << "member ";
-    write_member_tokens(os, r);
-    os << "\n";
-  }
-  os << "end\n";
-  return static_cast<bool>(os);
+  RecordWriter w(os, "starring-membership");
+  w.line("epoch", m.epoch)
+      .line("replication", m.replication)
+      .line("vnodes", m.vnodes)
+      .line("members", m.members.size());
+  for (const MemberRecord& r : m.members) write_member(w, "member", r);
+  return w.end();
 }
 
 std::optional<MembershipRecord> read_membership(std::istream& is,
                                                 std::string* error) {
-  std::string word;
-  if (!(is >> word)) {
-    fail(error, "");  // clean EOF
-    return std::nullopt;
-  }
-  std::string version;
-  if (word != "starring-membership" || !(is >> version) || version != "v1") {
-    fail(error, "bad header");
-    return std::nullopt;
-  }
+  RecordReader c(is, error);
   MembershipRecord m;
-  if (!(is >> word >> m.epoch) || word != "epoch") {
-    fail(error, "bad epoch line");
-    return std::nullopt;
-  }
-  if (!(is >> word >> m.replication) || word != "replication" ||
-      m.replication < 1) {
-    fail(error, "bad replication line");
-    return std::nullopt;
-  }
-  if (!(is >> word >> m.vnodes) || word != "vnodes" || m.vnodes < 1) {
-    fail(error, "bad vnodes line");
-    return std::nullopt;
-  }
-  std::size_t count = 0;
-  if (!(is >> word >> count) || word != "members" ||
-      count > kMaxMemberRecords) {
-    fail(error, "bad members line");
-    return std::nullopt;
-  }
-  m.members.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    MemberRecord r;
-    if (!(is >> word) || word != "member") {
-      fail(error, "bad member line");
-      return std::nullopt;
-    }
-    if (!read_member_tokens(is, &r, error)) return std::nullopt;
-    m.members.push_back(std::move(r));
-  }
-  if (!read_end(is, error)) return std::nullopt;
-  return m;
+  c.header("starring-membership");
+  c.scalar("epoch", &m.epoch);
+  c.scalar("replication", &m.replication, 1);
+  c.scalar("vnodes", &m.vnodes, 1);
+  c.list("members", kMaxMemberRecords, &m.members, [&](MemberRecord& r) {
+    if (c.key("member")) read_member(c, &r);
+  });
+  c.end();
+  return c.finish(std::move(m));
 }
 
 }  // namespace starring
