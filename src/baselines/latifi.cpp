@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "core/chaining.hpp"
-#include "core/super_ring.hpp"
 
 namespace starring {
 
@@ -78,24 +77,17 @@ std::optional<LatifiResult> latifi_clustered_ring(const StarGraph& g,
     positions.resize(static_cast<std::size_t>(n - 4));
   }
 
+  // All faults sit inside the excised pattern, so the construction sees
+  // a fault-free graph; the dropped supervertex (m >= 4, excluded by the
+  // builder) or the excised mask (m < 4, skipped by the chain) accounts
+  // for the n! - m! length.
   const bool pattern_is_supervertex = m >= 4;
-  for (int restart = 0; restart < std::max(1, opts.max_restarts); ++restart) {
-    const auto sr = build_block_ring(
-        n, positions, FaultSet{}, restart,
-        pattern_is_supervertex ? &*pat : nullptr);
-    if (!sr) continue;
-    // All faults sit inside the excised pattern, so the chain sees a
-    // fault-free graph; the excised mask (m < 4) or the dropped
-    // supervertex (m >= 4) accounts for the n! - m! length.
-    auto res = chain_block_ring(g, *sr, FaultSet{}, opts,
-                                /*per_fault_loss=*/2,
-                                pattern_is_supervertex ? nullptr : &*pat);
-    if (res) {
-      res->stats.restarts = restart;
-      return LatifiResult{std::move(*res), m};
-    }
-  }
-  return std::nullopt;
+  auto res = build_and_chain(g, positions, FaultSet{}, opts, {},
+                             /*per_fault_loss=*/2,
+                             pattern_is_supervertex ? &*pat : nullptr,
+                             pattern_is_supervertex ? nullptr : &*pat);
+  if (!res) return std::nullopt;
+  return LatifiResult{std::move(*res), m};
 }
 
 }  // namespace starring

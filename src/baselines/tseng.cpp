@@ -3,49 +3,19 @@
 #include <cassert>
 
 #include "core/chaining.hpp"
-#include "core/super_ring.hpp"
 
 namespace starring {
-
-namespace {
-
-std::optional<EmbedResult> embed_with_loss(const StarGraph& g,
-                                           const FaultSet& faults,
-                                           const EmbedOptions& opts,
-                                           int per_fault_loss) {
-  const int n = g.n();
-  if (n < 5) {
-    // One block: the paper's small cases coincide with the main engine.
-    auto res = embed_longest_ring(g, faults, opts);
-    if (res && per_fault_loss > 2) {
-      // Emulate the baseline's loss on the single block: drop extra
-      // vertices so the reported ring matches the baseline bound.  For
-      // comparison purposes the ring returned stays the best found.
-      return res;
-    }
-    return res;
-  }
-  const PartitionSelection sel =
-      select_partition_positions(n, faults, opts.heuristic);
-  for (int restart = 0; restart < std::max(1, opts.max_restarts); ++restart) {
-    const auto sr = build_block_ring(n, sel.positions, faults, restart);
-    if (!sr) continue;
-    auto res = chain_block_ring(g, *sr, faults, opts, per_fault_loss);
-    if (res) {
-      res->stats.restarts = restart;
-      return res;
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 std::optional<EmbedResult> tseng_vertex_fault_ring(const StarGraph& g,
                                                    const FaultSet& faults,
                                                    const EmbedOptions& opts) {
   assert(faults.num_edge_faults() == 0);
-  return embed_with_loss(g, faults, opts, /*per_fault_loss=*/4);
+  // One block: the paper's small cases coincide with the main engine.
+  if (g.n() < 5) return embed_longest_ring(g, faults, opts);
+  const PartitionSelection sel =
+      select_partition_positions(g.n(), faults, opts.heuristic);
+  return build_and_chain(g, sel.positions, faults, opts, {},
+                         /*per_fault_loss=*/4);
 }
 
 std::optional<EmbedResult> tseng_edge_fault_ring(const StarGraph& g,

@@ -1,6 +1,7 @@
 #include "core/chaining.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <utility>
@@ -442,17 +443,23 @@ std::vector<VertexId> emit(const ChainState& st,
 
 }  // namespace
 
-std::optional<EmbedResult> chain_block_ring(const StarGraph& g,
-                                            const SuperRing& sr,
-                                            const FaultSet& faults,
-                                            const EmbedOptions& opts,
-                                            int per_fault_loss,
-                                            const SubstarPattern* excise) {
+std::optional<EmbedResult> chain_blocks(const StarGraph& g,
+                                        const SuperRing& sr,
+                                        const FaultSet& faults,
+                                        const EmbedOptions& opts,
+                                        const ChainEnds& ends,
+                                        int per_fault_loss,
+                                        const SubstarPattern* excise) {
   (void)g;
   assert(per_fault_loss % 2 == 0 && per_fault_loss >= 2);
-  const auto& ring = sr.ring;
-  const std::size_t m = ring.size();
-  if (m < 3 || ring.front().r() != 4) return std::nullopt;
+  const auto& blocks = sr.ring;
+  const std::size_t m = blocks.size();
+  const bool open = ends.open();
+  if (m < (open ? 2u : 3u) || blocks.front().r() != 4) return std::nullopt;
+  if (open && (!blocks.front().contains(*ends.s) ||
+               !blocks.back().contains(*ends.t) ||
+               faults.vertex_faulty(*ends.s) || faults.vertex_faulty(*ends.t)))
+    return std::nullopt;
 
   // The oracle is stateless apart from tallies: every instance shares
   // the process-wide path cache, so constructing one per call is cheap
@@ -462,13 +469,18 @@ std::optional<EmbedResult> chain_block_ring(const StarGraph& g,
     BlockOracle::prewarm_fault_free(opts.effective_threads());
 
   ChainState& st = tls_chain_state();
-  if (!build_block_infos(st, ring, faults, per_fault_loss, excise,
+  if (!build_block_infos(st, blocks, faults, per_fault_loss, excise,
                          opts.effective_threads()))
     return std::nullopt;
-  build_expanders(st, ring, opts.effective_threads());
-  if (!compute_all_exits(st, ring, faults, /*cyclic=*/true,
+  build_expanders(st, blocks, opts.effective_threads());
+  if (!compute_all_exits(st, blocks, faults, /*cyclic=*/!open,
                          opts.effective_threads()))
     return std::nullopt;
+  if (ends.short_block >= 0 && ends.short_block < static_cast<int>(m)) {
+    std::int8_t& target = st.target[static_cast<std::size_t>(ends.short_block)];
+    target = static_cast<std::int8_t>(target - 1);
+    if (target < 1) return std::nullopt;
+  }
 
   EmbedStats stats;
   stats.num_blocks = m;
@@ -507,16 +519,25 @@ std::optional<EmbedResult> chain_block_ring(const StarGraph& g,
   // success is contained in (not additional to) this one.
   obs::ScopedPhase phase("chain_search");
   obs::trace::ScopedSpan span("chain_search");
+  // The (entry of block 0, exit of block m-1) pairs the search threads
+  // between: for a ring, every healthy crossing of the closing
+  // super-edge (leaving block m-1 at y lands in block 0 at its
+  // partner); for an open chain, the one pair (s, t).
+  const int s_local =
+      open ? static_cast<int>(blocks.front().local_index(*ends.s)) : -1;
+  const int t_local =
+      open ? static_cast<int>(blocks.back().local_index(*ends.t)) : -1;
   const std::int8_t* last_ey = &st.exit_y[(m - 1) * kCrossings];
   const std::int8_t* last_ep = &st.exit_partner[(m - 1) * kCrossings];
-  for (int c = 0; c < st.exit_count[m - 1]; ++c) {
-    const int closure_y = last_ey[c];
-    const int closure_partner = last_ep[c];
+  const int end_pairs = open ? 1 : st.exit_count[m - 1];
+  for (int c = 0; c < end_pairs; ++c) {
+    const int first_entry = open ? s_local : last_ep[c];
+    const int last_exit = open ? t_local : last_ey[c];
     if (cancelled(opts)) return std::nullopt;
-    ++stats.closure_attempts;
+    if (!open) ++stats.closure_attempts;
     std::fill(failed.begin(), failed.end(), 0u);
     std::size_t k = 0;
-    entry[0] = closure_partner;
+    entry[0] = first_entry;
     exit_idx[0] = 0;
     std::int64_t backtracks = 0;
     bool aborted = false;
@@ -534,20 +555,23 @@ std::optional<EmbedResult> chain_block_ring(const StarGraph& g,
       const std::int8_t* ep = &st.exit_partner[k * kCrossings];
       while (!advanced) {
         int y;
-        int partner;
+        int partner = -1;
         if (k == m - 1) {
           if (exit_idx[k] != 0) break;
           exit_idx[k] = 1;
-          y = closure_y;
-          partner = closure_partner;
+          y = last_exit;
         } else {
           if (exit_idx[k] >= static_cast<std::size_t>(st.exit_count[k])) break;
           y = ey[exit_idx[k]];
           partner = ep[exit_idx[k]];
           ++exit_idx[k];
         }
-        if (y == ek) continue;
-        if (((pmask >> y) & 1u) != need) continue;
+        // A block shortened to one vertex enters and leaves through it;
+        // any longer path joins two distinct vertices whose parities
+        // its length fixes.
+        if (target == 1 ? y != ek
+                        : y == ek || ((pmask >> y) & 1u) != need)
+          continue;
         if (k + 1 < m && ((failed[k + 1] >> partner) & 1u)) continue;
         if (use_ff) {
           paths[k] = fftab[static_cast<std::size_t>(ek) * kBlockSize +
@@ -567,7 +591,7 @@ std::optional<EmbedResult> chain_block_ring(const StarGraph& g,
       }
       if (!advanced) {
         failed[k] |= 1u << entry[k];
-        if (k == 0) break;  // this closure cannot work
+        if (k == 0) break;  // this end pair cannot work
         --k;
         ++backtracks;
         ++stats.backtracks;
@@ -584,135 +608,50 @@ std::optional<EmbedResult> chain_block_ring(const StarGraph& g,
   return std::nullopt;
 }
 
-std::optional<EmbedResult> chain_block_path(const StarGraph& g,
-                                            const SuperRing& sp,
-                                            const FaultSet& faults,
-                                            const EmbedOptions& opts,
-                                            const Perm& s, const Perm& t,
-                                            int short_block,
-                                            int per_fault_loss) {
-  (void)g;
-  assert(per_fault_loss % 2 == 0 && per_fault_loss >= 2);
-  const auto& chain = sp.ring;
-  const std::size_t m = chain.size();
-  if (m < 2 || chain.front().r() != 4) return std::nullopt;
-  if (!chain.front().contains(s) || !chain.back().contains(t))
-    return std::nullopt;
-  if (faults.vertex_faulty(s) || faults.vertex_faulty(t)) return std::nullopt;
-
-  BlockOracle oracle;
-  if (opts.prewarm_oracle)
-    BlockOracle::prewarm_fault_free(opts.effective_threads());
-
-  ChainState& st = tls_chain_state();
-  if (!build_block_infos(st, chain, faults, per_fault_loss, nullptr,
-                         opts.effective_threads()))
-    return std::nullopt;
-  build_expanders(st, chain, opts.effective_threads());
-  if (m >= 2 && !compute_all_exits(st, chain, faults, /*cyclic=*/false,
-                                   opts.effective_threads()))
-    return std::nullopt;
-
-  if (short_block >= 0 && short_block < static_cast<int>(m)) {
-    std::int8_t& target = st.target[static_cast<std::size_t>(short_block)];
-    target = static_cast<std::int8_t>(target - 1);
-    if (target < 1) return std::nullopt;
-  }
-
-  const int s_local = static_cast<int>(chain.front().local_index(s));
-  const int t_local = static_cast<int>(chain.back().local_index(t));
-
-  EmbedStats stats;
-  stats.num_blocks = m;
-  stats.faulty_blocks = st.faulty_blocks;
-
-  st.failed.assign(m, 0u);
-  st.exit_idx.resize(m);
-  st.paths.resize(m);
-  st.entry.resize(m);
-  std::vector<std::uint32_t>& failed = st.failed;
-  std::vector<std::size_t>& exit_idx = st.exit_idx;
-  std::vector<BlockOracle::PathVal>& paths = st.paths;
-  std::vector<int>& entry = st.entry;
-
-  std::uint32_t pmask = 0;
-  for (int v = 0; v < kBlockSize; ++v)
-    pmask |= static_cast<std::uint32_t>(oracle.local_parity(v) & 1) << v;
-  const BlockOracle::PathVal* const fftab = BlockOracle::fault_free_plane();
-  const bool ff_fast = fftab != nullptr && st.removed_edges.empty();
-  std::int64_t ff_hits = 0;
-  static obs::Counter& ff_hit_counter = obs::counter("oracle.cache_hits");
-  struct FlushHits {
-    std::int64_t* n;
-    obs::Counter* c;
-    ~FlushHits() {
-      if (*n != 0) c->add(*n);
-    }
-  } flush_hits{&ff_hits, &ff_hit_counter};
-
-  obs::ScopedPhase phase("chain_search");
-  obs::trace::ScopedSpan span("chain_search");
-  std::size_t k = 0;
-  entry[0] = s_local;
-  exit_idx[0] = 0;
-  std::int64_t backtracks = 0;
-  while (k < m) {
+std::optional<EmbedResult> build_and_chain(const StarGraph& g,
+                                           std::span<const int> positions,
+                                           const FaultSet& faults,
+                                           const EmbedOptions& opts,
+                                           ChainEnds ends, int per_fault_loss,
+                                           const SubstarPattern* exclude,
+                                           const SubstarPattern* excise) {
+  const bool short_needed =
+      ends.open() && ends.s->parity() == ends.t->parity();
+  for (int restart = 0; restart < std::max(1, opts.max_restarts); ++restart) {
     if (cancelled(opts)) return std::nullopt;
-    bool advanced = false;
-    const int target = st.target[k];
-    const std::uint32_t forbidden = st.forbidden[k];
-    const bool use_ff = ff_fast && forbidden == 0 && target == kBlockSize;
-    const int ek = entry[k];
-    const std::uint32_t need =
-        ((pmask >> ek) ^ static_cast<std::uint32_t>(target - 1)) & 1u;
-    const std::int8_t* ey = &st.exit_y[k * kCrossings];
-    const std::int8_t* ep = &st.exit_partner[k * kCrossings];
-    while (!advanced) {
-      int y;
-      int partner = -1;
-      if (k == m - 1) {
-        if (exit_idx[k] != 0) break;
-        exit_idx[k] = 1;
-        y = t_local;
-      } else {
-        if (exit_idx[k] >= static_cast<std::size_t>(st.exit_count[k])) break;
-        y = ey[exit_idx[k]];
-        partner = ep[exit_idx[k]];
-        ++exit_idx[k];
-      }
-      if (y == ek && target != 1) continue;
-      if (target == 1 && y != ek) continue;
-      if (target > 1 && ((pmask >> y) & 1u) != need) continue;
-      if (k + 1 < m && ((failed[k + 1] >> partner) & 1u)) continue;
-      if (use_ff && y != ek) {
-        paths[k] = fftab[static_cast<std::size_t>(ek) * kBlockSize +
-                         static_cast<std::size_t>(y)];
-        ++ff_hits;
-        if (paths[k].len < 0) continue;
-      } else if (!oracle.find_path_into(ek, y, forbidden, target, &paths[k],
-                                        st.removed(k))) {
-        continue;
-      }
-      if (k + 1 < m) {
-        entry[k + 1] = partner;
-        exit_idx[k + 1] = 0;
-      }
-      ++k;
-      advanced = true;
+    const auto sr = [&] {
+      obs::ScopedPhase phase("super_ring");
+      obs::trace::ScopedSpan span("super_ring");
+      return build_block_chain(g.n(), positions, faults, ends, restart,
+                               exclude);
+    }();
+    if (!sr) continue;
+    // Blocks that may absorb an open chain's parity correction, in the
+    // order tried: up to six healthy blocks away from the endpoints
+    // (their 23-vertex paths are abundant), else the last block.  A
+    // ring, or endpoints of opposite parity, need none (-1).
+    const int m = static_cast<int>(sr->ring.size());
+    std::array<int, 6> shorts{-1};
+    std::size_t num_shorts = 1;
+    if (short_needed) {
+      num_shorts = 0;
+      for (int k = m - 2; k >= 1 && num_shorts < shorts.size(); --k)
+        if (faults_in_pattern(sr->ring[static_cast<std::size_t>(k)],
+                              faults) == 0)
+          shorts[num_shorts++] = k;
+      if (num_shorts == 0) shorts[num_shorts++] = m - 1;
     }
-    if (!advanced) {
-      failed[k] |= 1u << entry[k];
-      if (k == 0) return std::nullopt;
-      --k;
-      ++backtracks;
-      ++stats.backtracks;
-      if (backtracks > opts.backtrack_budget) return std::nullopt;
+    for (std::size_t i = 0; i < num_shorts; ++i) {
+      ends.short_block = shorts[i];
+      auto res =
+          chain_blocks(g, *sr, faults, opts, ends, per_fault_loss, excise);
+      if (res) {
+        res->stats.restarts = restart;
+        return res;
+      }
     }
   }
-  EmbedResult res;
-  res.ring = emit(st, paths, opts.effective_threads());
-  res.stats = stats;
-  return res;
+  return std::nullopt;
 }
 
 }  // namespace starring

@@ -3,7 +3,12 @@
 // Given an R_4 (a super-ring of S_4 blocks), thread a healthy path
 // through every block — Hamiltonian for healthy blocks, 2 vertices
 // short per fault for faulty blocks — and splice consecutive paths with
-// super-edge crossings into one healthy ring.
+// super-edge crossings into one healthy ring.  The longest-path
+// extension runs the same search on an open chain (ChainEnds): one
+// backtracking loop threads blocks 0..m-1 from a given entry of block 0
+// to a forced exit of block m-1; a ring tries every healthy crossing of
+// its closing super-edge as that (entry, exit) pair, an open chain the
+// one pair (s, t).
 //
 // The entry of block k+1 is forced by the exit chosen in block k: an
 // exit y (a healthy member whose position-0 symbol equals the symbol
@@ -23,39 +28,55 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "core/ring_embedder.hpp"
 #include "core/super_ring.hpp"
 
 namespace starring {
 
-/// Thread and splice `sr` into a healthy ring.  `per_fault_loss` must be
-/// even (ring parity); it is the number of vertices dropped from a block
-/// per vertex fault inside it.  `excise`, if given, is a substar pattern
-/// whose members all lie in one block of `sr`: those vertices are
-/// skipped outright (the Latifi–Bagherzadeh mechanism for an enclosing
-/// substar smaller than a block).  Returns nullopt when the chain search
-/// exhausts every closure candidate or the backtrack budget.
-std::optional<EmbedResult> chain_block_ring(const StarGraph& g,
-                                            const SuperRing& sr,
-                                            const FaultSet& faults,
-                                            const EmbedOptions& opts,
-                                            int per_fault_loss = 2,
-                                            const SubstarPattern* excise = nullptr);
+/// Thread and splice the block chain `sr` into a healthy ring (cyclic
+/// `ends`) or a healthy s-t path (open `ends`; the returned `ring`
+/// field then holds the open vertex sequence from s to t).
+/// `per_fault_loss` must be even (ring parity); it is the number of
+/// vertices dropped from a block per vertex fault inside it.
+/// `ends.short_block`, if in [0, m), takes one more vertex off that
+/// block (open chains only: the parity correction when s and t share a
+/// partite set).  `excise`, if given, is a substar pattern whose members
+/// all lie in one block of `sr`: those vertices are skipped outright
+/// (the Latifi–Bagherzadeh mechanism for an enclosing substar smaller
+/// than a block).  Returns nullopt when the search exhausts every end
+/// pair or the backtrack budget.
+std::optional<EmbedResult> chain_blocks(const StarGraph& g,
+                                        const SuperRing& sr,
+                                        const FaultSet& faults,
+                                        const EmbedOptions& opts,
+                                        const ChainEnds& ends,
+                                        int per_fault_loss = 2,
+                                        const SubstarPattern* excise = nullptr);
 
-/// Open-chain variant for the longest-path extension: thread a healthy
-/// s-t path through the block chain `sp` (from build_block_path; the
-/// first block holds s, the last holds t).  `short_block`, if in
-/// [0, m), designates the block whose target is reduced by one vertex —
-/// the parity correction needed when s and t lie in the same partite
-/// set.  Returns the path (ring field holds the open vertex sequence
-/// from s to t).
-std::optional<EmbedResult> chain_block_path(const StarGraph& g,
-                                            const SuperRing& sp,
-                                            const FaultSet& faults,
-                                            const EmbedOptions& opts,
-                                            const Perm& s, const Perm& t,
-                                            int short_block = -1,
-                                            int per_fault_loss = 2);
+/// The cyclic chain: chain_blocks with ChainEnds{}.
+inline std::optional<EmbedResult> chain_block_ring(
+    const StarGraph& g, const SuperRing& sr, const FaultSet& faults,
+    const EmbedOptions& opts, int per_fault_loss = 2,
+    const SubstarPattern* excise = nullptr) {
+  return chain_blocks(g, sr, faults, opts, {}, per_fault_loss, excise);
+}
+
+/// The build -> chain restart loop every embedder shares.  Restart r
+/// (r < max(1, opts.max_restarts)) builds the block chain of `g` through
+/// `positions` at rotation r (build_block_chain, under the `super_ring`
+/// phase and span) and chains it (chain_blocks); the first success is
+/// returned with stats.restarts = r.  An open chain whose endpoints
+/// share a partite set tries up to six short blocks per restart —
+/// healthy blocks away from the endpoints, else the last block
+/// (`ends.short_block` is chosen here, not read).  `exclude` goes to the builder and `excise` to the
+/// chain (the two Latifi mechanisms).  Stops with nullopt once
+/// opts.cancel is set.
+std::optional<EmbedResult> build_and_chain(
+    const StarGraph& g, std::span<const int> positions, const FaultSet& faults,
+    const EmbedOptions& opts, ChainEnds ends = {}, int per_fault_loss = 2,
+    const SubstarPattern* exclude = nullptr,
+    const SubstarPattern* excise = nullptr);
 
 }  // namespace starring

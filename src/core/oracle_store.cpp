@@ -229,9 +229,11 @@ bool parse_rings_section(Cursor cur, std::uint64_t count,
       // Rings dominate the snapshot (megabytes per n=9 instance); on LE
       // hosts the wire format IS the in-memory layout, so one memcpy
       // replaces millions of byte-shuffling iterations.  The cold-start
-      // win CI asserts leans on this.
-      std::memcpy(r.ring.data(), ring_bytes,
-                  static_cast<std::size_t>(ring_len) * 8);
+      // win CI asserts leans on this.  An empty ring's data() may be
+      // null, which memcpy forbids even for zero bytes.
+      if (ring_len != 0)
+        std::memcpy(r.ring.data(), ring_bytes,
+                    static_cast<std::size_t>(ring_len) * 8);
     } else {
       for (std::uint64_t j = 0; j < ring_len; ++j)
         r.ring[static_cast<std::size_t>(j)] = get_u64(ring_bytes + j * 8);

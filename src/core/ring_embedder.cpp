@@ -1,14 +1,10 @@
 #include "core/ring_embedder.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 #include <cstdlib>
-#include <unordered_map>
 
 #include "core/block_oracle.hpp"
 #include "core/chaining.hpp"
-#include "core/super_ring.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
@@ -99,23 +95,7 @@ std::optional<EmbedResult> embed_longest_ring_impl(const StarGraph& g,
 
   const PartitionSelection sel =
       select_partition_positions(n, faults, opts.heuristic);
-  for (int restart = 0; restart < std::max(1, opts.max_restarts); ++restart) {
-    if (opts.cancel != nullptr &&
-        opts.cancel->load(std::memory_order_relaxed))
-      return std::nullopt;
-    const auto sr = [&] {
-      obs::ScopedPhase phase("super_ring");
-      obs::trace::ScopedSpan span("super_ring");
-      return build_block_ring(n, sel.positions, faults, restart);
-    }();
-    if (!sr) continue;
-    auto res = chain_block_ring(g, *sr, faults, opts);
-    if (res) {
-      res->stats.restarts = restart;
-      return res;
-    }
-  }
-  return std::nullopt;
+  return build_and_chain(g, sel.positions, faults, opts);
 }
 
 }  // namespace

@@ -4,14 +4,16 @@
 // Pipeline (mirrors the paper's proof structure):
 //   1. select_partition_positions  — Lemma 2: positions whose partition
 //      leaves at most one fault per S_4 block (property P1);
-//   2. build_block_ring            — Lemma 3: an R_4 threading all
+//   2. build_block_chain           — Lemma 3: an R_4 threading all
 //      n!/24 blocks, fault-containing blocks spread apart (P3) and each
 //      child connected to a ring neighbour (P2 via Lemma 1);
-//   3. chain_blocks (this file)    — Lemmas 4-7: choose a healthy
+//   3. chain_blocks                — Lemmas 4-7: choose a healthy
 //      entry/exit vertex pair per block, thread a healthy path of 24
 //      vertices (healthy block) or 24 - 2*(faults inside) vertices
 //      (faulty block) through each, and splice the paths with the
 //      super-edge crossings into one ring.
+// Steps 2-3 run inside build_and_chain's restart loop (core/chaining),
+// which every baseline and extension shares.
 //
 // Where the paper argues existence through case analysis, step 3
 // searches: per-block paths come from the exhaustive (memoized)

@@ -113,28 +113,33 @@ int exclude_child_symbol(const SubstarPattern* exclude,
   return exclude->slot(pos);
 }
 
-/// One refinement level: partition every pattern of `ring` at position
-/// `pos` and thread a Hamiltonian path through each resulting K_r.
+/// One refinement level: partition every pattern of `chain` at position
+/// `pos` and thread a Hamiltonian path through each resulting K_r.  A
+/// cyclic chain has m connectors (the last joins A_{m-1} back to A_0); an
+/// open one has m-1, and its outer path ends are forced instead: the
+/// entry child of A_0 holds s and the exit child of A_{m-1} holds t.
 /// When `exclude` is a child produced at this level, it is kept away
 /// from every path end so the caller can erase it without breaking
 /// consecutive adjacency (its neighbours are siblings in one K_r).
 std::optional<std::vector<SubstarPattern>> refine(
-    const std::vector<SubstarPattern>& ring, int pos, const FaultSet& faults,
-    const SubstarPattern* exclude) {
-  const auto m = ring.size();
-  assert(m >= 3);
+    const std::vector<SubstarPattern>& chain, int pos, const FaultSet& faults,
+    const ChainEnds& ends, const SubstarPattern* exclude) {
+  const auto m = chain.size();
+  const bool open = ends.open();
+  assert(m >= (open ? 2u : 3u));
+  const std::size_t conns = open ? m - 1 : m;
+  // Forced outer ends of an open chain (-1: none).
+  const int s_sym = open ? ends.s->get(pos) : -1;
+  const int t_sym = open ? ends.t->get(pos) : -1;
 
-  // Ring-edge data: dif position and the next element's symbol there.
-  std::vector<int> dif_pos(m);
-  std::vector<int> next_sym(m);  // b_k: symbol A_{k+1} fixes at dif_pos[k]
-  for (std::size_t k = 0; k < m; ++k) {
-    const auto& a = ring[k];
-    const auto& b = ring[(k + 1) % m];
+  // Chain-edge data: the next element's symbol at the dif position.
+  std::vector<int> next_sym(conns);  // b_k: symbol A_{k+1} fixes there
+  for (std::size_t k = 0; k < conns; ++k) {
+    const auto& b = chain[(k + 1) % m];
     int p = -1;
-    const bool adj = SubstarPattern::adjacent(a, b, &p);
+    const bool adj = SubstarPattern::adjacent(chain[k], b, &p);
     assert(adj);
     if (!adj) return std::nullopt;
-    dif_pos[k] = p;
     next_sym[k] = b.slot(p);
   }
 
@@ -142,23 +147,27 @@ std::optional<std::vector<SubstarPattern>> refine(
   // by mask — no throwaway child patterns).
   std::vector<std::uint32_t> fmask(m);
   for (std::size_t k = 0; k < m; ++k)
-    fmask[k] = faulty_children_mask(ring[k], pos, faults);
+    fmask[k] = faulty_children_mask(chain[k], pos, faults);
 
   // Choose the connector symbols c_k (the symbol shared by the exit
   // child of A_k and the entry child of A_{k+1}).
-  std::vector<int> c(m, -1);
+  std::vector<int> c(conns, -1);
   auto pick = [&](std::size_t k, std::uint32_t extra_banned) -> int {
-    const auto& a = ring[k];
+    const auto& a = chain[k];
+    const auto& b = chain[(k + 1) % m];
     std::uint32_t cand = a.free_symbol_mask();
     cand &= ~(1u << next_sym[k]);
-    if (k > 0 && c[k - 1] >= 0) cand &= ~(1u << c[k - 1]);
+    // The exit child of A_k must differ from its entry child.
+    if (const int entry = k > 0 ? c[k - 1] : s_sym; entry >= 0)
+      cand &= ~(1u << entry);
+    // ... and the entry child of the last open element from t's child.
+    if (open && k + 2 == m) cand &= ~(1u << t_sym);
     cand &= ~extra_banned;
     // Keep the excluded child out of any path-end role: it must be
     // neither the exit of A_k nor the entry of A_{k+1}.
     if (const int q = exclude_child_symbol(exclude, a, pos); q >= 0)
       cand &= ~(1u << q);
-    if (const int q = exclude_child_symbol(exclude, ring[(k + 1) % m], pos);
-        q >= 0)
+    if (const int q = exclude_child_symbol(exclude, b, pos); q >= 0)
       cand &= ~(1u << q);
     const std::uint32_t f_a = fmask[k];
     const std::uint32_t f_b = fmask[(k + 1) % m];
@@ -177,14 +186,14 @@ std::optional<std::vector<SubstarPattern>> refine(
     }
     return best;
   };
-  for (std::size_t k = 0; k < m; ++k) {
+  for (std::size_t k = 0; k < conns; ++k) {
     c[k] = pick(k, 0);
     if (c[k] < 0) return std::nullopt;
   }
   // Cyclic closure: the entry symbol of A_0 is c_{m-1}; it must differ
   // from the exit symbol c_0.  Re-pick c_0 if they collided (banning
   // both c_{m-1} and c_1 keeps every other constraint intact).
-  if (c[0] == c[m - 1]) {
+  if (!open && c[0] == c[m - 1]) {
     const std::uint32_t banned =
         (1u << c[m - 1]) | (1u << c[1 % m]);
     c[0] = pick(0, banned);
@@ -194,89 +203,11 @@ std::optional<std::vector<SubstarPattern>> refine(
   // Thread the paths: each child pattern is constructed exactly once,
   // directly into its final slot.
   std::vector<SubstarPattern> out;
-  out.reserve(m * static_cast<std::size_t>(ring.front().r()));
-  for (std::size_t k = 0; k < m; ++k) {
-    const auto& a = ring[k];
-    const int entry_sym = c[(k + m - 1) % m];
-    const int exit_sym = c[k];
-    assert(entry_sym != exit_sym);
-    const std::uint32_t mid_mask = a.free_symbol_mask() &
-                                   ~(1u << entry_sym) & ~(1u << exit_sym);
-    int order[kMaxN];
-    const int mid_count = order_middle_syms(
-        mid_mask, fmask[k], ((fmask[k] >> entry_sym) & 1u) != 0,
-        ((fmask[k] >> exit_sym) & 1u) != 0, order);
-    out.push_back(a.child(pos, entry_sym));
-    for (int t = 0; t < mid_count; ++t) out.push_back(a.child(pos, order[t]));
-    out.push_back(a.child(pos, exit_sym));
-  }
-  return out;
-}
-
-/// Open-chain refinement for the longest-path extension.  Differences
-/// from refine(): no wraparound edge; the first element's entry child is
-/// forced to the child containing `s` and the last element's exit child
-/// to the child containing `t`.
-std::optional<std::vector<SubstarPattern>> refine_path(
-    const std::vector<SubstarPattern>& chain, int pos, const FaultSet& faults,
-    const Perm& s, const Perm& t) {
-  const auto m = chain.size();
-  assert(m >= 2);
-  assert(chain.front().contains(s) && chain.back().contains(t));
-
-  std::vector<int> next_sym(m - 1);
-  for (std::size_t k = 0; k + 1 < m; ++k) {
-    int p = -1;
-    const bool adj = SubstarPattern::adjacent(chain[k], chain[k + 1], &p);
-    assert(adj);
-    if (!adj) return std::nullopt;
-    next_sym[k] = chain[k + 1].slot(p);
-  }
-
-  const int s_sym = s.get(pos);  // entry symbol forced at the first block
-  const int t_sym = t.get(pos);  // exit symbol forced at the last block
-
-  std::vector<std::uint32_t> fmask(m);
-  for (std::size_t k = 0; k < m; ++k)
-    fmask[k] = faulty_children_mask(chain[k], pos, faults);
-
-  // Connector symbols c_k between chain[k] and chain[k+1].
-  std::vector<int> c(m - 1, -1);
-  for (std::size_t k = 0; k + 1 < m; ++k) {
-    std::uint32_t cand = chain[k].free_symbol_mask();
-    cand &= ~(1u << next_sym[k]);
-    if (k == 0)
-      cand &= ~(1u << s_sym);  // exit child must differ from s's child
-    else
-      cand &= ~(1u << c[k - 1]);
-    if (k + 2 == m) {
-      // The entry child of the last element is child(chain[m-1], c_k);
-      // it must differ from t's child.
-      cand &= ~(1u << t_sym);
-    }
-    int best = -1;
-    int best_score = -1;
-    std::uint32_t bits = cand;
-    while (bits) {
-      const int q = std::countr_zero(bits);
-      bits &= bits - 1;
-      const int score = (((fmask[k + 1] >> q) & 1u) == 0 ? 2 : 0) +
-                        (((fmask[k] >> q) & 1u) == 0 ? 1 : 0);
-      if (score > best_score) {
-        best_score = score;
-        best = q;
-      }
-    }
-    if (best < 0) return std::nullopt;
-    c[k] = best;
-  }
-
-  std::vector<SubstarPattern> out;
   out.reserve(m * static_cast<std::size_t>(chain.front().r()));
   for (std::size_t k = 0; k < m; ++k) {
     const auto& a = chain[k];
-    const int entry_sym = k == 0 ? s_sym : c[k - 1];
-    const int exit_sym = k + 1 == m ? t_sym : c[k];
+    const int entry_sym = k > 0 ? c[k - 1] : open ? s_sym : c[m - 1];
+    const int exit_sym = k < conns ? c[k] : t_sym;
     assert(entry_sym != exit_sym);
     const std::uint32_t mid_mask = a.free_symbol_mask() &
                                    ~(1u << entry_sym) & ~(1u << exit_sym);
@@ -332,88 +263,62 @@ std::vector<SubstarPattern> order_first_level_path(
 
 }  // namespace
 
-std::optional<SuperRing> build_block_path(int n,
-                                          std::span<const int> positions,
-                                          const FaultSet& faults,
-                                          const Perm& s, const Perm& t,
-                                          int rotation) {
+std::optional<SuperRing> build_block_chain(int n,
+                                           std::span<const int> positions,
+                                           const FaultSet& faults,
+                                           const ChainEnds& ends, int rotation,
+                                           const SubstarPattern* exclude) {
   assert(n >= 5);
   assert(static_cast<int>(positions.size()) == n - 4);
-  assert(s.get(positions[0]) != t.get(positions[0]) &&
+  assert((!ends.open() ||
+          ends.s->get(positions[0]) != ends.t->get(positions[0])) &&
          "positions[0] must separate s and t");
   const SubstarPattern whole = SubstarPattern::whole(n);
-  std::vector<SubstarPattern> chain = order_first_level_path(
-      whole.children(positions[0]), faults, s, t, rotation);
-  for (std::size_t level = 1; level < positions.size(); ++level) {
-    auto next = refine_path(chain, positions[level], faults, s, t);
-    if (!next) return std::nullopt;
-    chain = std::move(*next);
-  }
-  SuperRing sp;
-  sp.ring = std::move(chain);
-  return sp;
-}
-
-bool is_valid_super_path(int n, const SuperRing& sp, const Perm& s,
-                         const Perm& t) {
-  const auto& chain = sp.ring;
-  if (chain.size() < 2) return false;
-  const int r = chain.front().r();
-  if (chain.size() * factorial(r) != factorial(n)) return false;
-  if (!chain.front().contains(s) || !chain.back().contains(t)) return false;
-  std::unordered_set<SubstarPattern, SubstarPatternHash> seen;
-  for (std::size_t k = 0; k < chain.size(); ++k) {
-    if (chain[k].r() != r || chain[k].n() != n) return false;
-    if (!seen.insert(chain[k]).second) return false;
-    if (k + 1 < chain.size() &&
-        !SubstarPattern::adjacent(chain[k], chain[k + 1]))
-      return false;
-  }
-  return true;
-}
-
-std::optional<SuperRing> build_block_ring(int n,
-                                          std::span<const int> positions,
-                                          const FaultSet& faults, int rotation,
-                                          const SubstarPattern* exclude) {
-  assert(n >= 5);
-  assert(static_cast<int>(positions.size()) == n - 4);
-  const SubstarPattern whole = SubstarPattern::whole(n);
-  std::vector<SubstarPattern> ring =
-      order_first_level(whole.children(positions[0]), faults, rotation);
+  std::vector<SubstarPattern> chain =
+      ends.open() ? order_first_level_path(whole.children(positions[0]),
+                                           faults, *ends.s, *ends.t, rotation)
+                  : order_first_level(whole.children(positions[0]), faults,
+                                      rotation);
   // Erase the excluded pattern once the level producing its r is built.
   // At the first level the ring is a K_n cycle, and at refinement levels
   // the pick() bans above keep it mid-path, so erasing never breaks
   // consecutive adjacency.
   auto maybe_erase = [&]() {
-    if (exclude == nullptr || ring.empty() || ring.front().r() != exclude->r())
+    if (exclude == nullptr || chain.empty() ||
+        chain.front().r() != exclude->r())
       return;
-    std::erase(ring, *exclude);
+    std::erase(chain, *exclude);
   };
   maybe_erase();
   for (std::size_t level = 1; level < positions.size(); ++level) {
-    auto next = refine(ring, positions[level], faults, exclude);
+    auto next = refine(chain, positions[level], faults, ends, exclude);
     if (!next) return std::nullopt;
-    ring = std::move(*next);
+    chain = std::move(*next);
     maybe_erase();
   }
   SuperRing sr;
-  sr.ring = std::move(ring);
+  sr.ring = std::move(chain);
   return sr;
 }
 
 bool is_valid_super_ring(int n, const SuperRing& sr,
-                         std::uint64_t missing_vertices) {
+                         std::uint64_t missing_vertices,
+                         const ChainEnds& ends) {
   const auto& ring = sr.ring;
-  if (ring.size() < 3) return false;
+  const bool open = ends.open();
+  if (ring.size() < (open ? 2u : 3u)) return false;
   const int r = ring.front().r();
   if (ring.size() * factorial(r) != factorial(n) - missing_vertices)
+    return false;
+  if (open && (!ring.front().contains(*ends.s) ||
+               !ring.back().contains(*ends.t)))
     return false;
   std::unordered_set<SubstarPattern, SubstarPatternHash> seen;
   for (std::size_t k = 0; k < ring.size(); ++k) {
     if (ring[k].r() != r || ring[k].n() != n) return false;
     if (!seen.insert(ring[k]).second) return false;
-    if (!SubstarPattern::adjacent(ring[k], ring[(k + 1) % ring.size()]))
+    if ((!open || k + 1 < ring.size()) &&
+        !SubstarPattern::adjacent(ring[k], ring[(k + 1) % ring.size()]))
       return false;
   }
   return true;

@@ -12,6 +12,11 @@
 // interleaved with the connecting super-edges form the R_{r-1}
 // (Lemma 3's interleaving step).
 //
+// The longest-path extension refines an open chain with the same code
+// (ChainEnds below): m-1 connectors instead of m, and the two outer path
+// ends forced to the children holding s and t instead of being joined
+// by a wraparound connector.
+//
 // Child adjacency across a ring edge (Lemma 1's mechanism): if A and B
 // are consecutive with dif position p, A fixing symbol a and B fixing
 // symbol b at p, then child(A, q) at the new position is adjacent to
@@ -39,11 +44,28 @@
 namespace starring {
 
 struct SuperRing {
-  /// Cyclically ordered patterns; consecutive ones (and last/first) are
-  /// adjacent.  All patterns have the same r.
+  /// Patterns in chain order; consecutive ones are adjacent, and so are
+  /// last and first unless the chain was built open.  All patterns have
+  /// the same r.
   std::vector<SubstarPattern> ring;
 
   int r() const { return ring.empty() ? 0 : ring.front().r(); }
+};
+
+/// The endpoint policy of a block chain — the one thing that separates
+/// the paper's ring from the longest-path extension's s-t path:
+///   * cyclic (s, t unset): the last block is adjacent to the first and
+///     the chaining search closes the ring through that super-edge;
+///   * open from s to t: the first block holds s, the last holds t, no
+///     wraparound edge, and `short_block`, if in [0, m), gives up one
+///     vertex — the parity correction when s and t lie in the same
+///     partite set.
+struct ChainEnds {
+  std::optional<Perm> s;
+  std::optional<Perm> t;
+  int short_block = -1;
+
+  bool open() const { return s.has_value(); }
 };
 
 /// Build the R_4 of S_n by refining through `positions` (from
@@ -52,42 +74,44 @@ struct SuperRing {
 /// `rotation` offsets the initial K_n ordering — callers use different
 /// rotations as restart diversification.
 ///
-/// `exclude`, if given, is a pattern reachable through `positions`
-/// (its fixed positions are position[0..n-1-r(exclude)]-compatible);
-/// the builder drops it — and with it all its blocks — from the ring
-/// while keeping consecutive adjacency, by forcing it into the middle
-/// of its parent's K_r path.  This is the mechanism behind the
-/// Latifi–Bagherzadeh n!-m! baseline (excise the substar holding all
+/// Open `ends` give the linear variant: a sequence of all n!/24 blocks
+/// whose first block contains s and last contains t.  Precondition:
+/// positions[0] is a position where s and t differ (so they start in
+/// different first-level children and the endpoint invariant can be
+/// pushed down every level).  Every level runs the same refinement;
+/// only the first-level order (s's child first, t's child last) and the
+/// forced outer path ends differ.
+///
+/// `exclude` (cyclic chains), if given, is a pattern reachable through
+/// `positions` (its fixed positions are position[0..n-1-r(exclude)]-
+/// compatible); the builder drops it — and with it all its blocks —
+/// from the ring while keeping consecutive adjacency, by forcing it into
+/// the middle of its parent's K_r path.  This is the mechanism behind
+/// the Latifi–Bagherzadeh n!-m! baseline (excise the substar holding all
 /// faults).  Returns nullopt only if the internal connector-choice
 /// system is infeasible (never in the guarantee regime; asserted in
 /// debug builds).
-std::optional<SuperRing> build_block_ring(int n, std::span<const int> positions,
-                                          const FaultSet& faults,
-                                          int rotation = 0,
-                                          const SubstarPattern* exclude = nullptr);
+std::optional<SuperRing> build_block_chain(int n, std::span<const int> positions,
+                                           const FaultSet& faults,
+                                           const ChainEnds& ends,
+                                           int rotation = 0,
+                                           const SubstarPattern* exclude = nullptr);
 
-/// Validity check used by tests: consecutive patterns adjacent, all
-/// distinct, and together they cover n! - missing_vertices vertices
-/// (missing_vertices = m! when an S_m was excluded, else 0).
+/// The cyclic chain: build_block_chain with ChainEnds{}.
+inline std::optional<SuperRing> build_block_ring(
+    int n, std::span<const int> positions, const FaultSet& faults,
+    int rotation = 0, const SubstarPattern* exclude = nullptr) {
+  return build_block_chain(n, positions, faults, {}, rotation, exclude);
+}
+
+/// Validity check used by tests: all patterns distinct, consecutive
+/// ones adjacent (and last/first too for a cyclic chain), together
+/// covering n! - missing_vertices vertices (missing_vertices = m! when
+/// an S_m was excluded, else 0); an open chain's first block must hold
+/// s and its last t.
 bool is_valid_super_ring(int n, const SuperRing& sr,
-                         std::uint64_t missing_vertices = 0);
-
-/// Linear (open) variant for the longest-path extension: a sequence of
-/// all n!/24 blocks with consecutive patterns adjacent, whose FIRST
-/// block contains `s` and LAST block contains `t`.  Precondition:
-/// positions[0] is a position where s and t differ (so they start in
-/// different first-level children and the endpoint invariant can be
-/// pushed down every level).  Same fault-spreading behaviour as the
-/// ring builder.
-std::optional<SuperRing> build_block_path(int n, std::span<const int> positions,
-                                          const FaultSet& faults,
-                                          const Perm& s, const Perm& t,
-                                          int rotation = 0);
-
-/// Validity check for the open variant: consecutive adjacency (no
-/// wraparound), full coverage, endpoints contain s and t.
-bool is_valid_super_path(int n, const SuperRing& sp, const Perm& s,
-                         const Perm& t);
+                         std::uint64_t missing_vertices = 0,
+                         const ChainEnds& ends = {});
 
 /// Number of vertex faults of `faults` lying inside `p`.
 int faults_in_pattern(const SubstarPattern& p, const FaultSet& faults);

@@ -5,7 +5,6 @@
 
 #include "core/block_oracle.hpp"
 #include "core/chaining.hpp"
-#include "core/super_ring.hpp"
 
 namespace starring {
 
@@ -92,34 +91,9 @@ std::optional<LongestPathResult> embed_longest_path(const StarGraph& g,
 
   const std::uint64_t promise =
       expected_path_vertices(n, faults.num_vertex_faults(), s, t);
-  const bool need_short_block = s.parity() == t.parity();
-
-  for (int restart = 0; restart < std::max(1, opts.max_restarts); ++restart) {
-    const auto sp =
-        build_block_path(n, sel.positions, faults, s, t, restart);
-    if (!sp) continue;
-    const auto m = static_cast<int>(sp->ring.size());
-    // Candidate blocks to absorb the parity correction: prefer blocks
-    // away from the endpoints, healthy first (their 23-vertex paths are
-    // abundant); fall back to every block.
-    std::vector<int> short_candidates;
-    if (need_short_block) {
-      for (int k = m - 2; k >= 1 && static_cast<int>(short_candidates.size()) < 6; --k)
-        if (faults_in_pattern(sp->ring[static_cast<std::size_t>(k)], faults) == 0)
-          short_candidates.push_back(k);
-      if (short_candidates.empty()) short_candidates.push_back(m - 1);
-    } else {
-      short_candidates.push_back(-1);
-    }
-    for (const int sb : short_candidates) {
-      auto res = chain_block_path(g, *sp, faults, opts, s, t, sb);
-      if (res && res->ring.size() == promise) {
-        res->stats.restarts = restart;
-        return LongestPathResult{std::move(*res), promise};
-      }
-    }
-  }
-  return std::nullopt;
+  auto res = build_and_chain(g, sel.positions, faults, opts, {s, t});
+  if (!res || res->ring.size() != promise) return std::nullopt;
+  return LongestPathResult{std::move(*res), promise};
 }
 
 }  // namespace starring

@@ -1,7 +1,6 @@
 #include "extensions/mixed_faults.hpp"
 
 #include "core/chaining.hpp"
-#include "core/super_ring.hpp"
 
 namespace starring {
 
@@ -24,23 +23,18 @@ std::optional<MixedFaultResult> embed_mixed_fault_ring_baseline(
   const int n = g.n();
   const std::uint64_t promise =
       factorial(n) - 4 * faults.num_vertex_faults();
+  // One block below n = 5: the small cases coincide with the main engine.
+  std::optional<EmbedResult> res;
   if (n < 5) {
-    auto res = embed_longest_ring(g, faults, opts);
-    if (!res) return std::nullopt;
-    return MixedFaultResult{std::move(*res), promise};
+    res = embed_longest_ring(g, faults, opts);
+  } else {
+    const PartitionSelection sel =
+        select_partition_positions(n, faults, opts.heuristic);
+    res = build_and_chain(g, sel.positions, faults, opts, {},
+                          /*per_fault_loss=*/4);
   }
-  const PartitionSelection sel =
-      select_partition_positions(n, faults, opts.heuristic);
-  for (int restart = 0; restart < std::max(1, opts.max_restarts); ++restart) {
-    const auto sr = build_block_ring(n, sel.positions, faults, restart);
-    if (!sr) continue;
-    auto res = chain_block_ring(g, *sr, faults, opts, /*per_fault_loss=*/4);
-    if (res) {
-      res->stats.restarts = restart;
-      return MixedFaultResult{std::move(*res), promise};
-    }
-  }
-  return std::nullopt;
+  if (!res) return std::nullopt;
+  return MixedFaultResult{std::move(*res), promise};
 }
 
 }  // namespace starring

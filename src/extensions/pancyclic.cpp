@@ -176,13 +176,10 @@ std::optional<std::vector<VertexId>> upper_band(int r, std::uint64_t length,
   // unbalance them.
   std::vector<int> positions;
   for (int i = 4; i < r; ++i) positions.push_back(i);
-  for (int rotation = 0; rotation < 4; ++rotation) {
-    const auto sr = build_block_ring(r, positions, fake, rotation);
-    if (!sr) continue;
-    auto res = chain_block_ring(g, *sr, fake, opts);
-    if (res && res->ring.size() == length) return std::move(res->ring);
-  }
-  return std::nullopt;
+  opts.max_restarts = 4;
+  auto res = build_and_chain(g, positions, fake, opts);
+  if (!res || res->ring.size() != length) return std::nullopt;
+  return std::move(res->ring);
 }
 
 /// Anchor ring: exactly q of the r children of S_r (split at the last

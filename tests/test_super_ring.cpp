@@ -1,8 +1,10 @@
 // Unit tests for the R_r super-ring construction (Definitions 4-5,
-// Lemma 3): validity, fault spreading (P1/P3), and the exclusion
-// mechanism used by the Latifi baseline.
+// Lemma 3): validity, fault spreading (P1/P3), the exclusion mechanism
+// used by the Latifi baseline, and the open s-t chain of the
+// longest-path extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/partition_selector.hpp"
@@ -180,6 +182,75 @@ TEST(SuperRing, AnyOrderValidAtSingleLevel) {
   SuperRing shuffled = *sr;
   std::swap(shuffled.ring[0], shuffled.ring[2]);
   EXPECT_TRUE(is_valid_super_ring(n, shuffled));
+}
+
+/// Healthy endpoints that `positions[0]` separates — the open builder's
+/// precondition (s and t start in different first-level children).
+ChainEnds open_ends(const StarGraph& g, const FaultSet& f,
+                    const std::vector<int>& positions, std::uint64_t salt) {
+  const VertexId nv = g.num_vertices();
+  Perm s = g.vertex(salt % nv);
+  for (VertexId i = 1; f.vertex_faulty(s); ++i) s = g.vertex((salt + i) % nv);
+  for (VertexId i = nv / 2 + salt;; ++i) {
+    const Perm t = g.vertex(i % nv);
+    if (!f.vertex_faulty(t) && t.get(positions[0]) != s.get(positions[0]))
+      return ChainEnds{s, t};
+  }
+}
+
+class OpenChainParamTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(OpenChainParamTest, ValidOpenChainWithFaults) {
+  const auto [n, nf] = GetParam();
+  const StarGraph g(n);
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    const FaultSet f = random_vertex_faults(g, nf, seed);
+    const auto pos = positions_for(n, f);
+    const ChainEnds ends = open_ends(g, f, pos, 17 * seed);
+    const auto sr = build_block_chain(n, pos, f, ends,
+                                      static_cast<int>(seed));
+    ASSERT_TRUE(sr.has_value()) << "n=" << n << " seed=" << seed;
+    EXPECT_TRUE(is_valid_super_ring(n, *sr, 0, ends));
+    EXPECT_EQ(sr->r(), 4);
+    EXPECT_EQ(sr->ring.size(), factorial(n) / 24);
+    EXPECT_TRUE(sr->ring.front().contains(*ends.s));
+    EXPECT_TRUE(sr->ring.back().contains(*ends.t));
+    // P1 holds on the open chain too.
+    for (const auto& blk : sr->ring)
+      EXPECT_LE(faults_in_pattern(blk, f), 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FaultSweep, OpenChainParamTest,
+                         ::testing::Values(std::make_tuple(5, 2),
+                                           std::make_tuple(6, 3),
+                                           std::make_tuple(7, 4)));
+
+TEST(OpenChain, InvalidChecksCatchCorruption) {
+  const int n = 6;
+  const StarGraph g(n);
+  const FaultSet f = random_vertex_faults(g, 2, 3);
+  const auto pos = positions_for(n, f);
+  const ChainEnds ends = open_ends(g, f, pos, 5);
+  const auto sr = build_block_chain(n, pos, f, ends);
+  ASSERT_TRUE(sr.has_value());
+  ASSERT_TRUE(is_valid_super_ring(n, *sr, 0, ends));
+  SuperRing broken = *sr;
+  std::swap(broken.ring[1], broken.ring[broken.ring.size() / 2]);
+  EXPECT_FALSE(is_valid_super_ring(n, broken, 0, ends));
+  SuperRing truncated = *sr;
+  truncated.ring.erase(truncated.ring.begin() + 1);
+  EXPECT_FALSE(is_valid_super_ring(n, truncated, 0, ends));
+  SuperRing duplicated = *sr;
+  duplicated.ring[1] = duplicated.ring[3];
+  EXPECT_FALSE(is_valid_super_ring(n, duplicated, 0, ends));
+  // Reversed, the chain is still a Hamiltonian path of blocks; only its
+  // endpoint blocks are wrong — until the ends are swapped too.
+  SuperRing reversed = *sr;
+  std::reverse(reversed.ring.begin(), reversed.ring.end());
+  EXPECT_FALSE(is_valid_super_ring(n, reversed, 0, ends));
+  EXPECT_TRUE(is_valid_super_ring(n, reversed, 0, ChainEnds{ends.t, ends.s}));
 }
 
 }  // namespace
