@@ -147,6 +147,12 @@ void BM_BatchInverse(benchmark::State& state) {
 
 STARRING_PERM_BENCH(BM_BatchRank);
 STARRING_PERM_BENCH(BM_BatchUnrank);
+// Unrank also runs at n = 8, the service-hit regime (relabel_ring and
+// the verifier decode every ring vertex through it).
+BENCHMARK(BM_BatchUnrank)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Unit(benchmark::kMicrosecond);
 STARRING_PERM_BENCH(BM_BatchParity);
 STARRING_PERM_BENCH(BM_BatchRelabel);
 STARRING_PERM_BENCH(BM_BatchInverse);

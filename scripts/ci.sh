@@ -713,14 +713,18 @@ if [[ "$run_simdoff" == 1 ]]; then
   echo "== build matrix: -DSTARRING_SIMD=OFF (scalar-only kernels) =="
   cmake -B build-simdoff -S . -DSTARRING_SIMD=OFF
   cmake --build build-simdoff -j "$JOBS" \
-    --target test_simd test_canonical test_oracle_store test_chain_pin
+    --target test_simd test_canonical test_oracle_store test_chain_pin \
+    test_verify
   # Run the binaries directly: ctest's discovered lists cover targets
   # this leg deliberately did not build.  test_chain_pin holds the
-  # scalar kernels to the same ring and path bytes as the SIMD build.
+  # scalar kernels to the same ring and path bytes as the SIMD build;
+  # test_verify holds the verifier, which decodes through the scalar
+  # unrank here, to the same verdicts and messages.
   ./build-simdoff/tests/test_simd
   ./build-simdoff/tests/test_canonical
   ./build-simdoff/tests/test_oracle_store
   ./build-simdoff/tests/test_chain_pin
+  ./build-simdoff/tests/test_verify
   echo "== env override: STARRING_SIMD=off on the SIMD-enabled build =="
   cmake -B build -S .
   cmake --build build -j "$JOBS" --target test_simd

@@ -144,7 +144,11 @@ struct PathSearch {
   }
 
   /// Returns true when the search can stop (early-exit target met).
-  bool dfs(int u, std::uint64_t visited) {
+  /// Cache-line aligned: the oracle's S4 block searches spend most of a
+  /// cold start here, and without the pin its speed followed whatever
+  /// the linker placed before it (a 16-byte shift cost ~10% of the
+  /// prewarm-plus-first-embed time on a Xeon VM).
+  __attribute__((aligned(64))) bool dfs(int u, std::uint64_t visited) {
     current.push_back(u);
     if (u == to) {
       if (current.size() > best.size()) best = current;

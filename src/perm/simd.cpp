@@ -1,7 +1,10 @@
 #include "perm/simd.hpp"
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #if defined(STARRING_SIMD_DISABLED)
 // Vector tiers compiled out; the dispatcher below pins to scalar.
@@ -43,30 +46,78 @@ void scalar_rank(const std::uint64_t* packed, std::size_t count, int n,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Unrank with compile-time divisors.  Let q_I = r / (N-1-I)!; Lehmer
+// digit I of rank r is q_I mod (N-I) = q_I - (N-I) * q_{I-1}, because
+// (N-1-(I-1))! = (N-I) * (N-1-I)!.  With N a template parameter every
+// divisor is a constant, so each q_I is one multiply-shift, and no
+// digit waits on another digit's remainder.  Ranks decode in 32-bit
+// arithmetic while N! < 2^32 (N <= 12).  A digit picks the digit-th
+// smallest unused symbol from a nibble list of the unused symbols.
+// ---------------------------------------------------------------------------
+
+template <int N>
+using RankWord = std::conditional_t<(N <= 12), std::uint32_t, std::uint64_t>;
+
+template <int N, int I>
+inline RankWord<N> lehmer_quotient(RankWord<N> r) {
+  return r / static_cast<RankWord<N>>(factorial(N - 1 - I));
+}
+
+template <int N, int I>
+inline unsigned lehmer_digit(RankWord<N> r) {
+  if constexpr (I == 0) {
+    return static_cast<unsigned>(lehmer_quotient<N, 0>(r));
+  } else {
+    return static_cast<unsigned>(
+        lehmer_quotient<N, I>(r) -
+        static_cast<RankWord<N>>(N - I) * lehmer_quotient<N, I - 1>(r));
+  }
+}
+
+using UnrankFn = void (*)(const VertexId*, std::size_t, std::uint64_t*);
+
+/// The per-n decoders of one tier, indexed by n (entry 0 unused).
+template <template <int> typename Decoder, int... M>
+constexpr std::array<UnrankFn, kMaxN + 1> unrank_table(
+    std::integer_sequence<int, M...>) {
+  return {nullptr, &Decoder<M + 1>::run...};
+}
+
+// Scalar pick: the unused symbols sit in ascending order in the
+// nibbles of `avail`; take nibble `digit` and close the gap.
+template <int N, int I>
+inline std::uint64_t scalar_pick(RankWord<N> r, std::uint64_t& avail) {
+  const unsigned sh = 4 * lehmer_digit<N, I>(r);
+  const std::uint64_t below = (std::uint64_t{1} << sh) - 1;
+  const std::uint64_t sym = (avail >> sh) & 0xF;
+  avail = (avail & below) | ((avail >> 4) & ~below);
+  return sym << (4 * I);
+}
+
+template <int N>
+struct ScalarUnrank {
+  template <int... I>
+  static void decode(const VertexId* ranks, std::size_t count,
+                     std::uint64_t* out, std::integer_sequence<int, I...>) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const auto r = static_cast<RankWord<N>>(ranks[k]);
+      std::uint64_t avail = 0xFEDCBA9876543210ULL;
+      out[k] = (scalar_pick<N, I>(r, avail) | ...);
+    }
+  }
+  static void run(const VertexId* ranks, std::size_t count,
+                  std::uint64_t* out) {
+    decode(ranks, count, out, std::make_integer_sequence<int, N>{});
+  }
+};
+
+constexpr auto kScalarUnrank =
+    unrank_table<ScalarUnrank>(std::make_integer_sequence<int, kMaxN>{});
+
 void scalar_unrank(const VertexId* ranks, std::size_t count, int n,
                    std::uint64_t* out) {
-  for (std::size_t k = 0; k < count; ++k) {
-    VertexId r = ranks[k];
-    std::uint16_t unused = static_cast<std::uint16_t>((1u << n) - 1);
-    std::uint64_t bits = 0;
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t f = factorial(n - 1 - i);
-      int digit = static_cast<int>(r / f);
-      r %= f;
-      int s = 0;
-      for (int b = 0; b < n; ++b) {
-        if (unused & (1u << b)) {
-          if (s == digit) {
-            unused = static_cast<std::uint16_t>(unused & ~(1u << b));
-            bits |= static_cast<std::uint64_t>(b) << (4 * i);
-            break;
-          }
-          ++s;
-        }
-      }
-    }
-    out[k] = bits;
-  }
+  kScalarUnrank[static_cast<std::size_t>(n)](ranks, count, out);
 }
 
 void scalar_parity(const std::uint64_t* packed, std::size_t count, int n,
@@ -121,8 +172,8 @@ constexpr Kernels kScalarKernels = {scalar_rank, scalar_unrank, scalar_parity,
 //   parity   — same digit loop, summed mod 2 instead of weighted;
 //   inverse  — four permutations per vector as u64 lanes, scattering
 //              slot indices with vpsllvq variable shifts;
-//   unrank   — stays lane-serial but swaps the seed's kth-set-bit scan
-//              for BMI2 pdep.
+//   unrank   — four ranks per vector on the compile-time divisors
+//              above (n <= 12); tails and n >= 13 decode scalar.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2,bmi2"))) inline __m128i expand16(
@@ -207,25 +258,89 @@ __attribute__((target("avx2,bmi2"))) void avx2_parity(
   }
 }
 
-__attribute__((target("avx2,bmi2"))) void avx2_unrank(const VertexId* ranks,
-                                                      std::size_t count, int n,
-                                                      std::uint64_t* out) {
-  for (std::size_t k = 0; k < count; ++k) {
-    VertexId r = ranks[k];
-    std::uint32_t unused = (1u << n) - 1;
-    std::uint64_t bits = 0;
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t f = factorial(n - 1 - i);
-      const std::uint32_t digit = static_cast<std::uint32_t>(r / f);
-      r %= f;
-      // pdep deposits the single bit into the digit-th set position of
-      // `unused` — the seed's linear kth-set-bit scan in one op.
-      const std::uint32_t bit = _pdep_u32(1u << digit, unused);
-      unused ^= bit;
-      bits |= static_cast<std::uint64_t>(__builtin_ctz(bit)) << (4 * i);
-    }
-    out[k] = bits;
+// Four lanes at a time while N <= 12: every rank is then below
+// 12! < 2^29, so q_I is the exact multiply-shift (r * m) >> s with
+// l = ceil(log2 d), s = 29 + l and m = ceil(2^s / d) < 2^31
+// (Granlund-Montgomery), which vpmuludq computes per 64-bit lane.  The
+// digit picks its symbol from the lane's nibble list of unused
+// symbols, as the scalar tier does, with variable shifts.
+struct Reciprocal {
+  std::uint64_t m;
+  int s;
+};
+
+constexpr Reciprocal reciprocal(std::uint64_t d) {
+  int l = 0;
+  while ((std::uint64_t{1} << l) < d) ++l;
+  const int s = 29 + l;
+  return {((std::uint64_t{1} << s) + d - 1) / d, s};
+}
+
+template <int N, int I>
+__attribute__((target("avx2,bmi2"))) inline __m256i avx2_quotient(__m256i r) {
+  constexpr Reciprocal q = reciprocal(factorial(N - 1 - I));
+  static_assert(q.m < (std::uint64_t{1} << 32));
+  return _mm256_srli_epi64(
+      _mm256_mul_epu32(r, _mm256_set1_epi64x(static_cast<long long>(q.m))),
+      q.s);
+}
+
+template <int N, int I>
+__attribute__((target("avx2,bmi2"))) inline __m256i avx2_pick(
+    __m256i r, __m256i& avail) {
+  const __m256i nibble = _mm256_set1_epi64x(0xF);
+  if constexpr (I == N - 1) {  // one symbol left
+    return _mm256_slli_epi64(_mm256_and_si256(avail, nibble), 4 * I);
+  } else {
+    __m256i digit = avx2_quotient<N, I>(r);
+    if constexpr (I > 0)
+      digit = _mm256_sub_epi64(
+          digit, _mm256_mul_epu32(avx2_quotient<N, I - 1>(r),
+                                  _mm256_set1_epi64x(N - I)));
+    const __m256i sh = _mm256_slli_epi64(digit, 2);
+    const __m256i sym = _mm256_and_si256(_mm256_srlv_epi64(avail, sh), nibble);
+    const __m256i one = _mm256_set1_epi64x(1);
+    const __m256i below = _mm256_sub_epi64(_mm256_sllv_epi64(one, sh), one);
+    avail = _mm256_or_si256(
+        _mm256_and_si256(avail, below),
+        _mm256_andnot_si256(below, _mm256_srli_epi64(avail, 4)));
+    return _mm256_slli_epi64(sym, 4 * I);
   }
+}
+
+template <int N>
+struct AVX2Unrank {
+  template <int... I>
+  __attribute__((target("avx2,bmi2"))) static void decode(
+      const VertexId* ranks, std::size_t count, std::uint64_t* out,
+      std::integer_sequence<int, I...>) {
+    for (std::size_t k = 0; k < count; k += 4) {
+      const __m256i r =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ranks + k));
+      __m256i avail = _mm256_set1_epi64x(
+          static_cast<long long>(0xFEDCBA9876543210ULL));
+      __m256i bits = _mm256_setzero_si256();
+      ((bits = _mm256_or_si256(bits, avx2_pick<N, I>(r, avail))), ...);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), bits);
+    }
+  }
+  static void run(const VertexId* ranks, std::size_t count,
+                  std::uint64_t* out) {
+    std::size_t k = 0;
+    if constexpr (N <= 12) {
+      k = count - count % 4;
+      decode(ranks, k, out, std::make_integer_sequence<int, N>{});
+    }
+    ScalarUnrank<N>::run(ranks + k, count - k, out + k);
+  }
+};
+
+constexpr auto kAVX2Unrank =
+    unrank_table<AVX2Unrank>(std::make_integer_sequence<int, kMaxN>{});
+
+void avx2_unrank(const VertexId* ranks, std::size_t count, int n,
+                 std::uint64_t* out) {
+  kAVX2Unrank[static_cast<std::size_t>(n)](ranks, count, out);
 }
 
 __attribute__((target("avx2,bmi2"))) void avx2_relabel(
@@ -296,7 +411,8 @@ constexpr Kernels kAVX2Kernels = {avx2_rank, avx2_unrank, avx2_parity,
 // NEON tier (aarch64; baseline, no runtime feature check needed).
 // Same byte-level structure as AVX2: vqtbl1q_u8 for the relabel lookup,
 // per-digit compare + horizontal add for rank/parity, per-lane variable
-// shifts (vshlq_u64) for inverse.  Unrank keeps the scalar decode.
+// shifts (vshlq_u64) for inverse.  Unrank keeps the scalar decode
+// (compile-time divisors, nibble-list symbol pick).
 // ---------------------------------------------------------------------------
 
 inline uint8x16_t neon_expand(std::uint64_t bits) {

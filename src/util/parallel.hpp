@@ -1,14 +1,14 @@
 // Data-parallel helpers over the persistent worker pool.
 //
-// The construction pipeline has three embarrassingly parallel phases —
-// per-block exit enumeration, final vertex emission, and verification —
-// whose cost scales with n! while the sequential chaining search
-// between them is cheap.  parallel_for schedules those phases in
-// dynamic chunks over the process-wide ThreadPool (util/thread_pool.hpp)
-// so one expensive fault-containing block cannot straggle a whole lane;
-// with threads == 1 it degenerates to a plain loop (no pool touch),
-// which is also the deterministic default everywhere correctness tests
-// care about ordering.
+// The construction pipeline has two embarrassingly parallel phases —
+// per-block exit enumeration and final vertex emission — whose cost
+// scales with n! while the sequential chaining search between them is
+// cheap.  parallel_for schedules those phases in dynamic chunks over
+// the process-wide ThreadPool (util/thread_pool.hpp) so one expensive
+// fault-containing block cannot straggle a whole lane; with
+// threads == 1 it degenerates to a plain loop (no pool touch), which is
+// also the deterministic default everywhere correctness tests care
+// about ordering.
 // Exception safety: a throw from fn escapes to the caller.  With
 // threads > 1 the first exception any participant raises is captured
 // via std::exception_ptr and rethrown after the region drains (the

@@ -1,7 +1,7 @@
 // Persistent worker pool behind parallel_for / parallel_reduce.
 //
 // The construction pipeline fires many short data-parallel regions
-// (exit enumeration, vertex emission, verification) per embedding;
+// (exit enumeration, vertex emission) per embedding;
 // spawning std::threads per call made thread-management overhead scale
 // with the number of embeddings rather than with the work.  This pool
 // spawns workers once (lazily, on the first region that wants them),

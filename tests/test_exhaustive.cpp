@@ -38,12 +38,8 @@ TEST(Exhaustive, S5EveryFaultPair) {
       const auto res = embed_longest_ring(g, f);
       ASSERT_TRUE(res.has_value()) << a << "," << b;
       ASSERT_EQ(res->ring.size(), 116u) << a << "," << b;
-      // Full verification is O(ring); spot-verify a sixth of the pairs
-      // to keep the sweep under a second, plus every 100th fully.
-      if (count % 6 == 0) {
-        const auto rep = verify_healthy_ring(g, f, res->ring);
-        ASSERT_TRUE(rep.valid) << a << "," << b << ": " << rep.error;
-      }
+      const auto rep = verify_healthy_ring(g, f, res->ring);
+      ASSERT_TRUE(rep.valid) << a << "," << b << ": " << rep.error;
       ++count;
     }
   }
@@ -58,10 +54,8 @@ TEST(Exhaustive, S6EverySingleFault) {
     const auto res = embed_longest_ring(g, f);
     ASSERT_TRUE(res.has_value()) << id;
     ASSERT_EQ(res->ring.size(), 718u) << id;
-    if (id % 16 == 0) {
-      const auto rep = verify_healthy_ring(g, f, res->ring);
-      ASSERT_TRUE(rep.valid) << id << ": " << rep.error;
-    }
+    const auto rep = verify_healthy_ring(g, f, res->ring);
+    ASSERT_TRUE(rep.valid) << id << ": " << rep.error;
   }
 }
 
