@@ -6,14 +6,26 @@
 // hit/miss gap is the value of the symmetry-canonical cache: every
 // relabeled copy of an already-solved fault class is answered at hit
 // cost, and at n >= 8 the gap is several orders of magnitude.
+//
+// BM_WriteResponse/BM_ReadResponse time the text codec on an n = 8
+// answer (40,310 ids, about 230 KB) through a stringstream.  The
+// artifact records the fastest iteration of each as
+// phase.codec.{write,read}_response_min_ns, which CI gates against the
+// committed BENCH_service_micro.json: a return to one stream call per
+// id costs several times the gated minimum.
 #include <benchmark/benchmark.h>
 
-#include "bench_artifact.hpp"
+#include <algorithm>
+#include <chrono>
+#include <sstream>
+#include <string>
 
 #include "fault/generators.hpp"
+#include "obs/bench_io.hpp"
 #include "service/canonical.hpp"
 #include "service/service.hpp"
 #include "stargraph/star_graph.hpp"
+#include "util/io.hpp"
 
 using namespace starring;
 
@@ -126,6 +138,75 @@ void BM_BatchedThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedThroughput)->Arg(6)->Arg(7)->Unit(benchmark::kMillisecond);
 
+// Fastest observed ns of one format / one parse, read by main().
+double g_write_min_ns = 0;
+double g_read_min_ns = 0;
+
+/// A real answer of dimension n: a cold request's ring, in its frame.
+ServiceResponse answer_for(int n) {
+  EmbedService svc;
+  ServiceResponse r = svc.process_now(request_for(n, n - 3, 42));
+  r.id = 1;
+  return r;
+}
+
+/// Run `call` once per iteration, keeping its fastest time in *min_ns.
+template <class F>
+void timed_loop(benchmark::State& state, double* min_ns, F&& call) {
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    call();
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    *min_ns = *min_ns == 0 ? ns : std::min(*min_ns, ns);
+  }
+}
+
+void BM_WriteResponse(benchmark::State& state) {
+  const ServiceResponse resp = answer_for(static_cast<int>(state.range(0)));
+  if (resp.status != ServiceStatus::kOk) {
+    state.SkipWithError(resp.reason.c_str());
+    return;
+  }
+  timed_loop(state, &g_write_min_ns, [&] {
+    std::ostringstream os;
+    if (!write_response(os, resp)) state.SkipWithError("write failed");
+    benchmark::DoNotOptimize(os.str().data());
+  });
+}
+BENCHMARK(BM_WriteResponse)->Arg(8)->Unit(benchmark::kMicrosecond);
+
+void BM_ReadResponse(benchmark::State& state) {
+  const ServiceResponse resp = answer_for(static_cast<int>(state.range(0)));
+  std::ostringstream os;
+  if (resp.status != ServiceStatus::kOk || !write_response(os, resp)) {
+    state.SkipWithError("no response to parse");
+    return;
+  }
+  const std::string bytes = os.str();
+  timed_loop(state, &g_read_min_ns, [&] {
+    std::istringstream is(bytes);
+    const auto r = read_response(is);
+    if (!r || r->ring.size() != resp.ring.size())
+      state.SkipWithError("parse failed");
+    benchmark::DoNotOptimize(r);
+  });
+}
+BENCHMARK(BM_ReadResponse)->Arg(8)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
-STARRING_BENCH_JSON_MAIN("service_micro");
+int main(int argc, char** argv) {
+  obs::BenchRecorder rec("service_micro");
+  ::benchmark::Initialize(&argc, argv);
+  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  ::benchmark::RunSpecifiedBenchmarks();
+  ::benchmark::Shutdown();
+  // phase.* naming so bench_compare.py treats them as gateable timings.
+  if (g_write_min_ns > 0)
+    rec.add_counter("phase.codec.write_response_min_ns", g_write_min_ns);
+  if (g_read_min_ns > 0)
+    rec.add_counter("phase.codec.read_response_min_ns", g_read_min_ns);
+  return 0;
+}

@@ -699,6 +699,17 @@ EOF
     bench/artifacts/BENCH_perm.json "$SMOKE_DIR/BENCH_perm.json" \
     --regression-pct 100 --gate-min-delta 10000 \
     --gate phase.perm.rank_simd_min_ns,phase.perm.unrank_simd_min_ns,phase.perm.parity_simd_min_ns,phase.perm.relabel_simd_min_ns,phase.perm.inverse_simd_min_ns
+  echo "== bench smoke: n=8 response codec vs committed baseline =="
+  cmake --build build-bench -j "$JOBS" --target bench_service
+  STARRING_BENCH_DIR="$SMOKE_DIR" ./build-bench/bench/bench_service \
+    --benchmark_filter='BM_(Write|Read)Response/8'
+  # Gated like the permutation kernels: one stream call per id costs
+  # +190%..+600% on these mins, far above run-to-run jitter.
+  python3 scripts/bench_compare.py \
+    bench/artifacts/BENCH_service_micro.json \
+    "$SMOKE_DIR/BENCH_service_micro.json" \
+    --regression-pct 100 --gate-min-delta 10000 \
+    --gate phase.codec.write_response_min_ns,phase.codec.read_response_min_ns
   echo "== bench smoke: snapshot cold start vs recompute (n=9) =="
   cmake --build build-bench -j "$JOBS" --target starringd starring-cli
   cold_start_smoke build-bench

@@ -27,6 +27,11 @@
 // servicing it.  --max-conns caps concurrent connections; excess
 // accepts are answered `status rejected` and closed.
 //
+// Both transports read and write through util/net's fd streambufs —
+// stdio over STDIN_FILENO/STDOUT_FILENO rather than std::cin/std::cout.
+// A record is formatted into the output buffer and leaves at its flush:
+// one write(2) per answer, unless a ring outgrows the 64 KiB buffer.
+//
 // All three serving paths (stdio, TCP, and starring-proxy's) run the
 // one server loop in cluster/server.hpp; this file supplies the shard's
 // command table and the per-transport embed hooks.
@@ -277,19 +282,26 @@ int serve_stdio(DaemonConfig& cfg) {
   std::optional<net::DrainGuard> drain_guard;
   EmbedService svc(cfg.svc);
   seed_service(svc, cfg);
+  // The fd streambufs every transport uses, not std::cin/std::cout:
+  // one buffered write(2) per record, and no cin-to-cout tie for the
+  // reader's input sentry to flush while the writer thread formats.
+  net::FdInBuf in_buf(STDIN_FILENO);
+  net::FdOutBuf out_buf(STDOUT_FILENO, /*write_timeout_ms=*/-1, nullptr);
+  std::istream in(&in_buf);
+  std::ostream out(&out_buf);
   std::mutex out_mu;
   std::thread writer([&] {
     while (auto resp = svc.next_response()) {
       const std::lock_guard<std::mutex> lock(out_mu);
-      write_response(std::cout, *resp);
-      std::cout.flush();
+      write_response(out, *resp);
+      out.flush();
     }
   });
 
   // wait=true: a full queue stops the reader, and the pipe buffer
   // backpressures the writer on the other side.
   const bool clean = cluster::serve_requests(
-      std::cin, std::cout, out_mu, g_stop, shard_commands(svc, cfg, nullptr),
+      in, out, out_mu, g_stop, shard_commands(svc, cfg, nullptr),
       [&svc](ServiceRequest& req) { svc.submit(std::move(req)); });
   // A clean EOF drain is allowed to take as long as the queue needs;
   // a signal-initiated one is bounded.

@@ -1,11 +1,13 @@
 #include "util/io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <cstdint>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -337,9 +339,44 @@ bool RecordReader::ids(std::string_view key, int n,
   std::size_t size = 0;
   if (!count(key, limit, &size, "sequence count out of range")) return false;
   out->reserve(std::min<std::size_t>(size, 1u << 16));
+  // Straight off the buffer, with no sentry or locale per id, but
+  // leaving the stream's state as `>>` would; the blanks skipped are
+  // the C locale's.
+  using Traits = std::istream::traits_type;
+  std::streambuf* in = is_.rdbuf();
+  const auto blank = [](Traits::int_type ch) {
+    return ch == ' ' || (ch >= '\t' && ch <= '\r');
+  };
+  const auto digit = [](Traits::int_type ch) {
+    return ch >= '0' && ch <= '9';
+  };
+  const auto at_end = [&](Traits::int_type ch) {
+    if (!Traits::eq_int_type(ch, Traits::eof())) return false;
+    is_.setstate(std::ios::eofbit);
+    return true;
+  };
+  const auto refuse = [&](const std::string& why) {
+    is_.setstate(std::ios::failbit);
+    return fail(why);
+  };
   for (std::size_t i = 0; i < size; ++i) {
+    Traits::int_type ch = in->sgetc();
+    while (blank(ch)) ch = in->snextc();
+    if (ch == '+' || ch == '-') {
+      std::string tok;
+      for (; !at_end(ch) && !blank(ch) && tok.size() <= kMaxTokenLen;
+           ch = in->snextc())
+        tok.push_back(Traits::to_char_type(ch));
+      return refuse("bad vertex id '" + tok + "'");
+    }
+    if (at_end(ch) || !digit(ch)) return refuse("truncated sequence");
     VertexId id = 0;
-    if (!(is_ >> id)) return fail("truncated sequence");
+    bool wrapped = false;
+    for (; digit(ch); ch = in->snextc())
+      wrapped |= __builtin_mul_overflow(id, 10, &id) |
+                 __builtin_add_overflow(id, ch - '0', &id);
+    at_end(ch);  // an id that ends the stream sets eofbit
+    if (wrapped) return refuse("truncated sequence");
     if (id >= limit)
       return fail("vertex id out of range: " + std::to_string(id));
     out->push_back(id);
@@ -352,9 +389,18 @@ bool RecordReader::end() { return expect("end") || fail("missing end line"); }
 RecordWriter& RecordWriter::ids(std::string_view key,
                                 const std::vector<VertexId>& ids) {
   line(key, ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    os << ids[i] << ((i + 1) % 16 == 0 ? '\n' : ' ');
-  os << "\n";
+  // One insertion per 16-id line: `id id ... id\n`, the last line
+  // padded with a blank after each id, then the closing newline.
+  char buf[16 * (std::numeric_limits<VertexId>::digits10 + 2)];
+  for (std::size_t i = 0; i < ids.size();) {
+    char* p = buf;
+    do {
+      p = std::to_chars(p, std::end(buf), ids[i]).ptr;
+      *p++ = ++i % 16 == 0 ? '\n' : ' ';
+    } while (i % 16 != 0 && i < ids.size());
+    os.write(buf, p - buf);
+  }
+  os << '\n';
   return *this;
 }
 

@@ -203,7 +203,10 @@ class RecordReader {
     return ok_;
   }
   /// A counted list of vertex ids of S_n (`sequence count out of range`
-  /// past n!).
+  /// past n!).  The ids are read digit by digit off the stream buffer:
+  /// `truncated sequence` at end of stream, on a non-digit or past
+  /// 2^64 - 1, `vertex id out of range: N` at N >= n!, and `bad vertex
+  /// id '<token>'` on a signed token (`>>` would wrap `-1` into range).
   bool ids(std::string_view key, int n, std::vector<VertexId>* out);
   /// Optional `key ...` lines, any order, each at most once, up to the
   /// `stop` token.  read(k, word) parses the value of keys[k]; false
@@ -250,18 +253,19 @@ class RecordReader {
 
 /// Writing half of the grammar: the constructor writes the header,
 /// line() one `key value...` line, ids() a counted vertex-id list and
-/// end() the terminator.  The header, and a key with its blank, go out
-/// as one stream insertion each: on an unbuffered stream (FdOutBuf)
-/// every insertion is one write(2).
+/// end() the terminator.  Nothing here reaches the fd: the stream's
+/// buffer collects the record (FdOutBuf holds 64 KiB) and the caller's
+/// flush sends it.  The id lists dominate every large record, so ids()
+/// formats a whole 16-id line itself and inserts it once.
 class RecordWriter {
  public:
   RecordWriter(std::ostream& out, std::string_view magic) : os(out) {
-    os << std::string(magic) + " v1\n";
+    os << magic << " v1\n";
   }
   template <class T, class... U>
   RecordWriter& line(std::string_view key, const T& value,
                      const U&... more) {
-    os << std::string(key) + ' ' << value;
+    os << key << ' ' << value;
     ((os << ' ' << more), ...);
     os << '\n';
     return *this;

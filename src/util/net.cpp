@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -173,20 +174,56 @@ FdInBuf::int_type FdInBuf::underflow() {
   }
 }
 
+// The buffer is left uninitialized, so an idle connection's pages stay
+// untouched until a record needs them.
+FdOutBuf::FdOutBuf(int fd, int write_timeout_ms, std::atomic<bool>* dead)
+    : fd_(fd),
+      timeout_ms_(write_timeout_ms),
+      dead_(dead),
+      buf_(new char[kBufferSize]) {
+  setp(buf_.get(), buf_.get() + kBufferSize);
+}
+
 FdOutBuf::int_type FdOutBuf::overflow(int_type c) {
-  if (traits_type::eq_int_type(c, traits_type::eof())) return c;
-  const char ch = traits_type::to_char_type(c);
-  return write_all(&ch, 1) ? c : traits_type::eof();
+  if (!drain()) return traits_type::eof();
+  if (traits_type::eq_int_type(c, traits_type::eof()))
+    return traits_type::not_eof(c);
+  *pptr() = traits_type::to_char_type(c);
+  pbump(1);
+  return c;
 }
 
 std::streamsize FdOutBuf::xsputn(const char* s, std::streamsize count) {
-  return write_all(s, static_cast<std::size_t>(count))
-             ? count
-             : std::streamsize{0};
+  auto left = static_cast<std::size_t>(count);
+  while (left > 0) {
+    // A span at least a buffer long goes straight out: copying it in
+    // would only split it into more writes.
+    if (pptr() == pbase() && left >= kBufferSize)
+      return write_all(s, left) ? count : std::streamsize{0};
+    const std::size_t k =
+        std::min(left, static_cast<std::size_t>(epptr() - pptr()));
+    std::memcpy(pptr(), s, k);
+    pbump(static_cast<int>(k));
+    s += k;
+    left -= k;
+    if (pptr() == epptr() && !drain()) return std::streamsize{0};
+  }
+  return count;
+}
+
+int FdOutBuf::sync() { return drain() ? 0 : -1; }
+
+bool FdOutBuf::drain() {
+  const auto count = static_cast<std::size_t>(pptr() - pbase());
+  // Emptied first: bytes that fail to go out are dropped, never resent
+  // ahead of a later record.
+  setp(buf_.get(), buf_.get() + kBufferSize);
+  return count == 0 || write_all(buf_.get(), count);
 }
 
 void FdOutBuf::mark_dead() {
   if (dead_ != nullptr) dead_->store(true, std::memory_order_relaxed);
+  setp(buf_.get(), buf_.get() + kBufferSize);
   // Both directions: wake a reader blocked in poll and refuse any
   // queued peer bytes — the connection is done.
   ::shutdown(fd_, SHUT_RDWR);

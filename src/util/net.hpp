@@ -16,6 +16,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <istream>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -70,12 +71,15 @@ int accept_transient(int listen_fd, const char* tag, obs::Counter& errors);
 
 // --- fd <-> iostream glue --------------------------------------------
 //
-// Minimal streambufs over a non-blocking socket.  Reads poll for data
-// (bounded by read_timeout_ms when >= 0); writes poll for POLLOUT
-// bounded by write_timeout_ms.  A write timeout evicts the peer
-// (svc.evicted_conns) and a hard error records io.write_errors; both
-// mark the optional `dead` flag so the owner stops servicing the
-// connection.
+// Minimal streambufs over a file descriptor (a non-blocking socket, or
+// starringd's stdin/stdout).  Reads poll for data (bounded by
+// read_timeout_ms when >= 0).  Writes collect in a fixed buffer that
+// sync() -- ostream::flush -- drains; every writer flushes once per
+// record, so a record leaves in one write(2) however many insertions
+// built it.  Draining polls for POLLOUT bounded by write_timeout_ms.
+// A write timeout evicts the peer (svc.evicted_conns) and a hard error
+// records io.write_errors; both mark the optional `dead` flag so the
+// owner stops servicing the connection, and drop what is buffered.
 
 class FdInBuf : public std::streambuf {
  public:
@@ -95,25 +99,34 @@ class FdInBuf : public std::streambuf {
 
 class FdOutBuf : public std::streambuf {
  public:
+  /// Bytes held before a write(2): more than any record but the
+  /// largest rings, which drain early once the buffer fills.
+  static constexpr std::size_t kBufferSize = std::size_t{64} << 10;
+
   /// write_timeout_ms < 0 means block forever.  `dead`, when non-null,
   /// is set on eviction or hard write error so the owner stops
   /// servicing the connection.
-  FdOutBuf(int fd, int write_timeout_ms, std::atomic<bool>* dead)
-      : fd_(fd), timeout_ms_(write_timeout_ms), dead_(dead) {}
+  FdOutBuf(int fd, int write_timeout_ms, std::atomic<bool>* dead);
 
-  /// Owner-invoked kill switch: sets `dead` and hard-closes the socket
-  /// so the peer sees EOF.  Used when a response fails to serialize —
-  /// a wedged output stream must not leave the connection half-alive.
+  /// Owner-invoked kill switch: sets `dead`, drops the buffered bytes
+  /// and hard-closes the socket so the peer sees EOF.  Used when a
+  /// response fails to serialize — a wedged output stream must not
+  /// leave the connection half-alive, nor send half a record.
   void mark_dead();
 
  private:
   int_type overflow(int_type c) override;
   std::streamsize xsputn(const char* s, std::streamsize count) override;
+  int sync() override;
+  /// Write out and empty the buffer; false (the bytes dropped) when the
+  /// write fails.
+  bool drain();
   bool write_all(const char* p, std::size_t count);
 
   int fd_;
   int timeout_ms_;
   std::atomic<bool>* dead_;
+  std::unique_ptr<char[]> buf_;
 };
 
 /// One dialed connection: a non-blocking socket behind bounded

@@ -1,7 +1,8 @@
 // The record codec as a whole: golden wire bytes for every record kind
 // (pins what each writer emits, byte for byte), strict numbers on the
-// u64 wire fields, bounded tokens, and a deterministic mutation fuzz of
-// every reader seeded from the golden records.
+// u64 wire fields, bounded tokens, a deterministic mutation fuzz of
+// every reader seeded from the golden records, and the vertex-id reader
+// held to the `>>` loop it replaced.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -515,6 +516,151 @@ TEST(CodecStrict, LargestIncarnationBelowTheWrapStillParses) {
   const auto m = read_gossip(in, &err);
   ASSERT_TRUE(m.has_value()) << err;
   EXPECT_EQ(m->from.incarnation, UINT64_MAX - 1);
+}
+
+TEST(CodecStrict, SignedAndWrappingIdsAreFramingErrors) {
+  // `>>` read `+5` as 5 and wrapped `-18446744073709551615` to 1, a
+  // valid vertex; a sign is refused outright, an overflow as before.
+  const struct {
+    const char* ids;
+    const char* want;
+  } cases[] = {
+      {"+5 1 2", "bad vertex id '+5'"},
+      {"1 -1 2", "bad vertex id '-1'"},
+      {"-18446744073709551615 1 2", "bad vertex id '-18446744073709551615'"},
+      {"1 2 100000000000000000000", "truncated sequence"},  // 21 digits
+  };
+  for (const auto& c : cases) {
+    const std::string ids = std::string("3\n") + c.ids + "\n";
+    std::istringstream response(
+        "starring-response v1\nid 1\nstatus ok\ncache hit\nverified 0\n"
+        "ring " + ids + "end\n");
+    std::istringstream seed("starring-seed v1\nn 4\nkey k\nring " + ids +
+                            "end\n");
+    std::istringstream file(
+        "starring-embedding v1\nn 4\nkind ring\nvertex_faults 0\n"
+        "edge_faults 0\nsequence " + ids);
+    std::string err;
+    EXPECT_FALSE(read_response(response, &err).has_value()) << c.ids;
+    EXPECT_EQ(err, c.want);
+    EXPECT_FALSE(read_request(seed, &err).has_value()) << c.ids;
+    EXPECT_EQ(err, c.want);
+    EXPECT_FALSE(read_embedding(file, &err).has_value()) << c.ids;
+    EXPECT_EQ(err, c.want);
+  }
+}
+
+// --- the id reader against the extraction loop it replaced --------------
+
+struct IdsOutcome {
+  bool ok = false;
+  std::vector<VertexId> ids;
+  std::string err;
+};
+
+/// `<key> <count>`, the ids, then `end`, read by RecordReader::ids.
+IdsOutcome read_ids(const std::string& text, int n) {
+  std::istringstream is(text);
+  IdsOutcome o;
+  RecordReader c(is, &o.err);
+  o.ok = c.ids("ring", n, &o.ids) && c.end();
+  return o;
+}
+
+/// The same record read by the earlier id loop: one `is >> id` per id.
+IdsOutcome stream_ids(const std::string& text, int n) {
+  std::istringstream is(text);
+  IdsOutcome o;
+  RecordReader c(is, &o.err);
+  const std::uint64_t limit = factorial(n);
+  std::size_t size = 0;
+  o.ok = c.count("ring", limit, &size, "sequence count out of range");
+  for (std::size_t i = 0; o.ok && i < size; ++i) {
+    VertexId id = 0;
+    if (!(is >> id)) {
+      o.ok = c.fail("truncated sequence");
+    } else if (id >= limit) {
+      o.ok = c.fail("vertex id out of range: " + std::to_string(id));
+    } else {
+      o.ids.push_back(id);
+    }
+  }
+  o.ok = o.ok && c.end();
+  return o;
+}
+
+/// Mutations of an id-list record that keep every token unsigned.
+std::vector<std::string> id_mutations(const std::string& ids, int count) {
+  const auto record = [](int k, const std::string& body) {
+    return "ring " + std::to_string(k) + "\n" + body + "end\n";
+  };
+  const std::string text = record(count, ids);
+  std::vector<std::string> out;
+  for (std::size_t k = 0; k < text.size(); ++k)  // EOF at every byte
+    out.push_back(text.substr(0, k));
+  for (std::size_t i = 0; i < text.size(); ++i)
+    for (const char* with : {" ", "\t", "\r", "\n\n", " \r\n\n", "\v\f",
+                             "x", "0", "9", "."}) {
+      out.push_back(text);
+      out.back().replace(i, 1, with);
+    }
+  // Each token replaced: leading zeros, 20-digit and overflowing
+  // numbers, letters glued on either side.
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < text.size(); ++i)
+    if (text[i] >= '0' && text[i] <= '9' &&
+        (i == 0 || text[i - 1] == ' ' || text[i - 1] == '\n'))
+      starts.push_back(i);
+  for (const std::size_t i : starts) {
+    const std::size_t j = text.find_first_of(" \n", i);
+    const std::string tok = text.substr(i, j - i);
+    for (const std::string& repl :
+         {"00" + tok, std::string(40, '0') + tok, tok + "x", "x" + tok,
+          tok + "1e5", "0x" + tok, tok + ".0"})
+      out.push_back(text.substr(0, i) + repl + text.substr(j));
+    for (const char* repl :
+         {"18446744073709551615", "18446744073709551616",
+          "99999999999999999999", "000018446744073709551615",
+          "184467440737095516150"})
+      out.push_back(text.substr(0, i) + repl + text.substr(j));
+  }
+  for (const int k : {0, 1, count - 1, count + 1, count + 5, 200})
+    out.push_back(record(k, ids));
+  return out;
+}
+
+TEST(CodecDiff, IdReaderMatchesTheExtractionLoopItReplaced) {
+  for (const int n : {5, kMaxN}) {
+    std::vector<VertexId> ring;
+    for (VertexId v = 0; v < 37; ++v) ring.push_back(v * 3 + 1);
+    std::ostringstream body;
+    RecordWriter(body, "x").ids("ring", ring);
+    const std::string written = body.str();
+    // Just the ids: the writer's `x v1` header and `ring 37` line off.
+    const std::string ids = written.substr(written.find("ring 37\n") + 8);
+    std::size_t inputs = 0;
+    for (const std::string& input : id_mutations(ids, 37)) {
+      const IdsOutcome want = stream_ids(input, n);
+      const IdsOutcome got = read_ids(input, n);
+      ++inputs;
+      EXPECT_EQ(got.ok, want.ok) << printable(input);
+      EXPECT_EQ(got.err, want.err) << printable(input);
+      EXPECT_EQ(got.ids, want.ids) << printable(input);
+    }
+    EXPECT_GT(inputs, 1500u);
+  }
+  // The one divergence: a signed token, which `>>` reads as a number
+  // (wrapping a minus sign) and the id reader refuses by name.
+  for (const char* tok : {"+5", "-0", "-1", "-18446744073709551615", "+x"}) {
+    const std::string input = std::string("ring 2\n1 ") + tok + "\nend\n";
+    const IdsOutcome got = read_ids(input, kMaxN);
+    EXPECT_FALSE(got.ok) << tok;
+    EXPECT_EQ(got.err, std::string("bad vertex id '") + tok + "'");
+    EXPECT_EQ(got.ids, std::vector<VertexId>{1});
+  }
+  EXPECT_TRUE(stream_ids("ring 2\n1 +5\nend\n", kMaxN).ok);
+  EXPECT_EQ(stream_ids("ring 2\n1 -18446744073709551615\nend\n", kMaxN).ids,
+            (std::vector<VertexId>{1, 1}));
 }
 
 // --- bounded reads -----------------------------------------------------

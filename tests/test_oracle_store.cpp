@@ -22,7 +22,10 @@ class OracleStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_enabled(true);
-    path_ = ::testing::TempDir() + "oracle_snapshot_test.bin";
+    // One file per test: ctest runs the cases as parallel processes.
+    path_ = ::testing::TempDir() + "oracle_snapshot_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bin";
     std::remove(path_.c_str());
   }
   void TearDown() override {

@@ -1,11 +1,15 @@
 // The shared server loop (cluster/server.hpp): the out-of-band command
 // table answered as a shard and as the proxy, the connection loop's
 // framing-error and close contracts, the TCP acceptor's connection cap
-// and bounded drain, and the strict numeric flag parsers both daemons
-// use.
+// and bounded drain, the buffered socket writer under every response
+// (util/net.hpp FdOutBuf), and the strict numeric flag parsers both
+// daemons use.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -355,6 +359,103 @@ TEST_F(AcceptorTest, StopHalfClosesLiveConnectionsWithinTheBudget) {
   EXPECT_TRUE(returned_);
   EXPECT_TRUE(on_stop_ran_);
   EXPECT_LT(elapsed, std::chrono::milliseconds(budget_ms / 2));
+}
+
+// --- buffered socket writes ---------------------------------------------
+
+/// An ok response carrying the ids 0 .. count-1.
+ServiceResponse ring_response(VertexId count) {
+  ServiceResponse r;
+  r.id = 5;
+  r.status = ServiceStatus::kOk;
+  for (VertexId v = 0; v < count; ++v) r.ring.push_back(v);
+  return r;
+}
+
+/// A connected AF_UNIX socket pair: fds[0] is the writer's end,
+/// non-blocking as the acceptor leaves a connection; fds[1] is the peer.
+class FdOutBufTest : public ::testing::Test {
+ protected:
+  void SetUp() override { obs::set_enabled(true); }
+  void TearDown() override {
+    failpoint::clear();
+    for (const int fd : fds_)
+      if (fd >= 0) ::close(fd);
+  }
+
+  void open_pair(int type) {
+    ASSERT_EQ(::socketpair(AF_UNIX, type, 0, fds_), 0);
+    ASSERT_TRUE(net::set_nonblocking(fds_[0]));
+  }
+
+  int fds_[2] = {-1, -1};
+};
+
+TEST_F(FdOutBufTest, OneFlushedResponseIsOneWrite) {
+  // On a SOCK_SEQPACKET socket every write(2) is one message, so the
+  // message count is the write count.
+  open_pair(SOCK_SEQPACKET);
+  const ServiceResponse resp = ring_response(5040);  // an S_7 ring
+  std::ostringstream want;
+  ASSERT_TRUE(write_response(want, resp));
+  ASSERT_LT(want.str().size(), net::FdOutBuf::kBufferSize);
+
+  std::atomic<bool> dead{false};
+  net::FdOutBuf buf(fds_[0], 1000, &dead);
+  std::ostream out(&buf);
+  ASSERT_TRUE(write_response(out, resp));
+  ASSERT_TRUE(out.flush());
+
+  std::vector<char> msg(std::size_t{1} << 20);
+  std::vector<std::string> got;
+  for (ssize_t k; (k = ::recv(fds_[1], msg.data(), msg.size(),
+                              MSG_DONTWAIT)) > 0;)
+    got.emplace_back(msg.data(), static_cast<std::size_t>(k));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], want.str());
+  EXPECT_FALSE(dead);
+}
+
+TEST_F(FdOutBufTest, APeerThatNeverReadsIsEvicted) {
+  open_pair(SOCK_STREAM);
+  const int small = 4096;
+  ::setsockopt(fds_[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof small);
+  ::setsockopt(fds_[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof small);
+  const std::int64_t before = obs::counter("svc.evicted_conns").value();
+  TcpConn conn(fds_[0], /*write_timeout_ms=*/50);
+  const auto t0 = std::chrono::steady_clock::now();
+  conn.send(ring_response(40320));  // an S_8 ring, ~230 KB
+  EXPECT_TRUE(conn.dead);
+  EXPECT_EQ(obs::counter("svc.evicted_conns").value(), before + 1);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+}
+
+TEST_F(FdOutBufTest, AClosedPeerIsAWriteError) {
+  open_pair(SOCK_STREAM);
+  ::close(fds_[1]);
+  fds_[1] = -1;
+  // As both daemons run: EPIPE comes back as an error, not a signal.
+  const auto old = std::signal(SIGPIPE, SIG_IGN);
+  const std::int64_t before = obs::counter("io.write_errors").value();
+  TcpConn conn(fds_[0], 1000);
+  conn.send(ring_response(16));
+  std::signal(SIGPIPE, old);
+  EXPECT_TRUE(conn.dead);
+  EXPECT_EQ(obs::counter("io.write_errors").value(), before + 1);
+}
+
+TEST_F(FdOutBufTest, AResponseThatFailsToSerializeSendsNothing) {
+  if (!failpoint::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
+  open_pair(SOCK_STREAM);
+  ASSERT_TRUE(failpoint::set("io.write_response=error"));
+  TcpConn conn(fds_[0], 1000);
+  // Half a record already buffered, as a serializer that failed midway
+  // leaves it: dropped with the buffer, never sent.
+  conn.out << "starring-response v1\nid 5\n";
+  conn.send(ring_response(5040));
+  EXPECT_TRUE(conn.dead);
+  char byte = 0;
+  EXPECT_EQ(::recv(fds_[1], &byte, 1, 0), 0);  // EOF, with zero bytes
 }
 
 // --- strict numeric flags ----------------------------------------------
