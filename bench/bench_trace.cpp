@@ -13,7 +13,8 @@
 //     inflates an iteration, so the minimum is the stable
 //     "quiet-machine" cost of the compiled-in span sites, where the
 //     sum of 60 iterations can swing by 10%+ run to run.
-//   * BM_SpanSite{Disabled,Enabled} — the raw per-span cost, ns/op.
+//   * BM_SpanSite{Disabled,Enabled} — the raw per-site cost of an
+//     obs::Scope, ns/op.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "fault/generators.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 #include "obs/trace.hpp"
 
 using namespace starring;
@@ -79,7 +81,7 @@ void BM_EmbedMaxFaultsTraceOff(benchmark::State& state) {
   obs::trace::set_enabled(false);
   double min_ns = 0;
   for (auto _ : state) {
-    const obs::ScopedPhase phase("trace_off_embed");
+    const obs::Scope scope("trace_off_embed");
     const double ns = timed_embed_ns(state, g, f);
     min_ns = min_ns == 0 ? ns : std::min(min_ns, ns);
   }
@@ -97,8 +99,7 @@ void BM_EmbedMaxFaultsTraceOn(benchmark::State& state) {
   obs::trace::set_enabled(true);
   double min_ns = 0;
   for (auto _ : state) {
-    const obs::ScopedPhase phase("trace_on_embed");
-    const obs::trace::ScopedSpan root("bench.embed");
+    const obs::Scope root("trace_on_embed");
     const double ns = timed_embed_ns(state, g, f);
     min_ns = min_ns == 0 ? ns : std::min(min_ns, ns);
   }
@@ -110,22 +111,30 @@ BENCHMARK(BM_EmbedMaxFaultsTraceOn)
     ->Iterations(kEmbedIters)
     ->Unit(benchmark::kMillisecond);
 
+// The site benches time a Scope with metrics off, so Disabled is the
+// both-switches-off path and Enabled the span alone.
 void BM_SpanSiteDisabled(benchmark::State& state) {
+  const bool metrics = obs::enabled();
+  obs::set_enabled(false);
   obs::trace::set_enabled(false);
   for (auto _ : state) {
-    const obs::trace::ScopedSpan span("bench.site");
+    const obs::Scope scope("bench.site");
     benchmark::ClobberMemory();
   }
+  obs::set_enabled(metrics);
 }
 BENCHMARK(BM_SpanSiteDisabled);
 
 void BM_SpanSiteEnabled(benchmark::State& state) {
+  const bool metrics = obs::enabled();
+  obs::set_enabled(false);
   obs::trace::set_enabled(true);
   for (auto _ : state) {
-    const obs::trace::ScopedSpan span("bench.site");
+    const obs::Scope scope("bench.site");
     benchmark::ClobberMemory();
   }
   obs::trace::set_enabled(false);
+  obs::set_enabled(metrics);
 }
 BENCHMARK(BM_SpanSiteEnabled);
 

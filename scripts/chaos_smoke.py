@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Chaos smoke for the reliability layer, driven over the wire.
 
-Two stages against a spawned starringd:
+Stages against a spawned starringd:
 
   stdio  — a failpoint storm (STARRING_FAILPOINTS) over mixed requests,
            some deadlined.  Asserts: every request reaches a terminal
@@ -11,6 +11,11 @@ Two stages against a spawned starringd:
            counters, and — after FAIL clear — a verify sweep of every
            instance comes back ok+verified with zero svc.verify_failures
            (the cache survived the storm uncorrupted).
+
+  stdio write failure — io.write_response armed to fail once: the
+           daemon must release stdout (EOF, no answer after the failed
+           one), stop reading at its next record and exit non-zero;
+           dropping answers and exiting 0 is a failed gate.
 
   tcp    — connection-cap bounce (`status rejected`), then a slow-client
            eviction: a reader that never drains its socket must be cut
@@ -33,6 +38,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 CHAOS_CONFIG = (
@@ -246,6 +252,35 @@ def stdio_stage(daemon):
     rc = proc.wait(timeout=60)
     assert rc == 0, f"stdio daemon exit code {rc}"
     log("stdio: clean EOF drain, exit 0")
+
+
+def stdio_write_failure_stage(daemon):
+    proc = subprocess.Popen([daemon], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True)
+    tr = TokenReader(proc.stdout)
+    proc.stdin.write("FAIL io.write_response=error@once\n")
+    proc.stdin.flush()
+    assert read_record(tr) == ("fail", "ok")
+    for i, (n, faults) in enumerate(make_instances(3, seed=7)):
+        proc.stdin.write(request_frame(i, n, faults))
+    proc.stdin.flush()
+    # stdout must reach EOF with stdin still open; a watchdog kill
+    # (which would also end the read) fails the stage.
+    killed = []
+    watchdog = threading.Timer(30, lambda: (killed.append(1), proc.kill()))
+    watchdog.start()
+    rest = proc.stdout.read()
+    watchdog.cancel()
+    assert not killed, "stdout stayed open after a failed answer write"
+    assert rest == "", f"output after the failed write: {rest[:80]!r}"
+    try:
+        proc.stdin.write("PING\n")  # the reader stops after this record
+        proc.stdin.flush()
+    except BrokenPipeError:
+        pass
+    rc = proc.wait(timeout=30)
+    assert rc != 0, f"stdio daemon exit code {rc} after dropping answers"
+    log(f"stdio write failure: stdout closed, answers dropped, exit {rc}")
 
 
 def connect(port, timeout=20):
@@ -480,6 +515,7 @@ def main():
     ap.add_argument("--port", type=int, default=47161)
     args = ap.parse_args()
     stdio_stage(args.daemon)
+    stdio_write_failure_stage(args.daemon)
     tcp_stage(args.daemon, args.port)
     gossip_stage(args.daemon, args.port + 2, args.port + 3)
     log("all stages passed")

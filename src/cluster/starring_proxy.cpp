@@ -76,7 +76,7 @@
 #include "cluster/shard_map.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "service/canonical.hpp"
 #include "util/failpoint.hpp"
 #include "util/io.hpp"
@@ -318,7 +318,7 @@ class Seeder {
     // each push roots its own little trace.  The target endpoint is
     // resolved against the map *now*, not at enqueue time — the shard
     // may have moved while the job sat in the queue.
-    obs::trace::ScopedSpan span("proxy.seed");
+    const obs::Scope scope("proxy.seed");
     const std::shared_ptr<const ShardMap> map = router_.map();
     const ShardInfo* info = map->find(shard_id);
     if (info == nullptr) return;
@@ -496,18 +496,17 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
   // The request's proxy-side root span.  The explicit parent adopts a
   // client-originated wire trace (starring-cli --trace); invalid when
   // the request carried none, which roots a fresh trace here.
-  obs::trace::ScopedSpan root(
-      "proxy.request",
-      obs::trace::Context{req.trace_id, req.parent_span_id});
+  const obs::Scope root("proxy.request",
+                        obs::trace::Context{req.trace_id, req.parent_span_id});
   if (rep != nullptr) rep->trace_id = root.context().trace_id;
   CanonicalForm canon;
   {
-    obs::trace::ScopedSpan span("proxy.canonicalize");
+    const obs::Scope scope("proxy.canonicalize");
     canon = canonicalize(req.n, req.faults);
   }
   std::vector<int> cands;
   {
-    obs::trace::ScopedSpan span("proxy.route");
+    const obs::Scope scope("proxy.route");
     cands = ctx.router.candidates(canon.key, ShardRouter::Clock::now());
   }
 
@@ -561,7 +560,7 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
     // disabled path must stay allocation-free.
     char fname[24];
     std::snprintf(fname, sizeof fname, "proxy.forward.s%d", sid);
-    obs::trace::ScopedSpan fspan(fname, root.context());
+    const obs::Scope fspan(fname, root.context());
     if (FAILPOINT("proxy.upstream")) {
       // Chaos stands in for a dead upstream: same bookkeeping, same
       // failover path.

@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 #include "perm/permutation.hpp"
 #include "stargraph/substar.hpp"
 #include "util/parallel.hpp"
@@ -208,6 +209,7 @@ void BlockOracle::prewarm_fault_free(unsigned threads) {
   if (cache.ff_ready.load(std::memory_order_acquire)) return;
   const std::lock_guard<std::mutex> lock(cache.ff_mu);
   if (cache.ff_ready.load(std::memory_order_acquire)) return;
+  const obs::Scope scope("oracle_prewarm");
   if (threads == 0) threads = std::thread::hardware_concurrency();
   const SmallGraph& g = BlockData::instance().graph;
   // Rows are independent; fan them out over the persistent pool.  The
@@ -258,6 +260,7 @@ std::vector<BlockOracle::MemoEntry> BlockOracle::export_memo() {
 }
 
 void BlockOracle::import_memo(std::span<const MemoEntry> entries) {
+  const obs::Scope scope("oracle_import");
   OracleCache& cache = OracleCache::instance();
   std::array<bool, kB * kB> got{};
   std::size_t ff_count = 0;

@@ -8,7 +8,7 @@
 
 #include "core/block_oracle.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "stargraph/lehmer4.hpp"
 #include "util/parallel.hpp"
 
@@ -18,6 +18,9 @@ namespace {
 
 constexpr int kBlockSize = BlockOracle::kBlockSize;
 constexpr int kCrossings = kBlockSize / 4;  // (4-1)!: crossings per super-edge
+/// Cross-block backtrack pops allowed per closure attempt before the
+/// attempt is abandoned.
+constexpr std::int64_t kBacktrackBudget = 1'000'000;
 
 /// Relaxed read of the caller's cooperative-cancel flag (see
 /// EmbedOptions::cancel); checked at block-advance granularity so a
@@ -158,8 +161,7 @@ bool build_block_infos(ChainState& st,
                        const std::vector<SubstarPattern>& blocks_pat,
                        const FaultSet& faults, int per_fault_loss,
                        const SubstarPattern* excise, unsigned threads) {
-  obs::ScopedPhase phase("chain_block_infos");
-  obs::trace::ScopedSpan span("chain_block_infos");
+  const obs::Scope scope("chain_block_infos");
   const std::size_t m = blocks_pat.size();
   const SubstarPattern& front = blocks_pat.front();
   st.m = m;
@@ -238,8 +240,7 @@ bool build_block_infos(ChainState& st,
 void build_expanders(ChainState& st,
                      const std::vector<SubstarPattern>& blocks_pat,
                      unsigned threads) {
-  obs::ScopedPhase phase("chain_expanders");
-  obs::trace::ScopedSpan span("chain_expanders");
+  const obs::Scope scope("chain_expanders");
   const std::size_t m = st.m;
   const int n = st.n;
   for (int j = 0; j < 4; ++j)
@@ -391,8 +392,7 @@ bool compute_exits(ChainState& st,
 bool compute_all_exits(ChainState& st,
                        const std::vector<SubstarPattern>& blocks_pat,
                        const FaultSet& faults, bool cyclic, unsigned threads) {
-  obs::ScopedPhase phase("chain_exits");
-  obs::trace::ScopedSpan span("chain_exits");
+  const obs::Scope scope("chain_exits");
   obs::counter("chain.threads").record_max(threads);
   const std::size_t m = st.m;
   st.exit_y.resize(m * kCrossings);
@@ -413,8 +413,7 @@ bool compute_all_exits(ChainState& st,
 std::vector<VertexId> emit(const ChainState& st,
                            const std::vector<BlockOracle::PathVal>& paths,
                            unsigned threads) {
-  obs::ScopedPhase phase("chain_emit");
-  obs::trace::ScopedSpan span("chain_emit");
+  const obs::Scope scope("chain_emit");
   std::vector<std::size_t> offset(st.m + 1, 0);
   for (std::size_t j = 0; j < st.m; ++j)
     offset[j + 1] = offset[j] + static_cast<std::size_t>(paths[j].len);
@@ -517,8 +516,7 @@ std::optional<EmbedResult> chain_blocks(const StarGraph& g,
 
   // Spans the backtracking search; the nested chain_emit span on
   // success is contained in (not additional to) this one.
-  obs::ScopedPhase phase("chain_search");
-  obs::trace::ScopedSpan span("chain_search");
+  const obs::Scope scope("chain_search");
   // The (entry of block 0, exit of block m-1) pairs the search threads
   // between: for a ring, every healthy crossing of the closing
   // super-edge (leaving block m-1 at y lands in block 0 at its
@@ -595,7 +593,7 @@ std::optional<EmbedResult> chain_blocks(const StarGraph& g,
         --k;
         ++backtracks;
         ++stats.backtracks;
-        if (backtracks > opts.backtrack_budget) aborted = true;
+        if (backtracks > kBacktrackBudget) aborted = true;
       }
     }
     if (k == m) {
@@ -620,8 +618,7 @@ std::optional<EmbedResult> build_and_chain(const StarGraph& g,
   for (int restart = 0; restart < std::max(1, opts.max_restarts); ++restart) {
     if (cancelled(opts)) return std::nullopt;
     const auto sr = [&] {
-      obs::ScopedPhase phase("super_ring");
-      obs::trace::ScopedSpan span("super_ring");
+      const obs::Scope scope("super_ring");
       return build_block_chain(g.n(), positions, faults, ends, restart,
                                exclude);
     }();

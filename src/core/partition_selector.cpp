@@ -6,7 +6,7 @@
 #include <map>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 
 namespace starring {
 
@@ -141,8 +141,7 @@ std::vector<int> edge_fault_dims(int n, const FaultSet& faults) {
 PartitionSelection select_partition_positions(int n, const FaultSet& faults,
                                               SplitHeuristic heuristic) {
   assert(n >= 5);
-  obs::ScopedPhase phase("partition_select");
-  obs::trace::ScopedSpan span("partition_select");
+  const obs::Scope scope("partition_select");
   const std::vector<Perm> items = faults.vertex_faults();
   // Faulty-link swap dimensions, most frequent first: using them as
   // partition positions turns those links into super-edge crossings.

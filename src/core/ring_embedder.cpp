@@ -6,7 +6,7 @@
 #include "core/block_oracle.hpp"
 #include "core/chaining.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/parallel.hpp"
 
 namespace starring {
@@ -103,7 +103,11 @@ std::optional<EmbedResult> embed_longest_ring_impl(const StarGraph& g,
 std::optional<EmbedResult> embed_longest_ring(const StarGraph& g,
                                               const FaultSet& faults,
                                               const EmbedOptions& opts) {
-  if (!obs::enabled()) return embed_longest_ring_impl(g, faults, opts);
+  const auto run = [&] {
+    const obs::Scope scope("embed");
+    return embed_longest_ring_impl(g, faults, opts);
+  };
+  if (!obs::enabled()) return run();
 
   const obs::Snapshot before = obs::snapshot();
 
@@ -114,11 +118,7 @@ std::optional<EmbedResult> embed_longest_ring(const StarGraph& g,
                                             faults.num_edge_faults()));
   obs::counter("embed.calls").add();
   obs::counter("embed.threads").record_max(opts.effective_threads());
-  auto res = [&] {
-    obs::ScopedPhase phase("embed");
-    obs::trace::ScopedSpan span("embed");
-    return embed_longest_ring_impl(g, faults, opts);
-  }();
+  auto res = run();
   if (res) {
     obs::counter("embed.restarts").add(res->stats.restarts);
     obs::counter("embed.backtracks").add(res->stats.backtracks);

@@ -43,8 +43,6 @@ struct EmbedOptions {
   /// Restart attempts; each uses a different rotation of the first-level
   /// block ordering.
   int max_restarts = 8;
-  /// Upper bound on cross-block backtrack pops per closure attempt.
-  std::int64_t backtrack_budget = 1'000'000;
   /// Worker threads for the data-parallel phases (exit enumeration and
   /// vertex emission).  The embedding produced is identical for any
   /// value; 0 means one thread per hardware core.

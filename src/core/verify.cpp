@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "perm/simd.hpp"
 
 namespace starring {
@@ -112,8 +112,7 @@ std::string step_error(const StarGraph& g, StepFault fault, VertexId a,
 
 RingReport verify_sequence(const StarGraph& g, const FaultSet& faults,
                            const std::vector<VertexId>& seq, bool cyclic) {
-  obs::ScopedPhase phase("verify");
-  obs::trace::ScopedSpan span("verify");
+  const obs::Scope scope("verify");
   c_calls().add();
   RingReport rep;
   rep.length = seq.size();

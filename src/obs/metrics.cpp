@@ -1,8 +1,7 @@
 #include "obs/metrics.hpp"
 
-#if !defined(STARRING_OBS_DISABLED)
-
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,6 +53,47 @@ Counter& counter(std::string_view name) {
   return *it->second;
 }
 
+namespace {
+
+// Interned phase counters: an open-addressed table of leaked entries.
+// A slot is written once, under g_phase_mu, and read lock-free after.
+struct PhaseEntry {
+  std::string name;  // the Scope name, before the phase.<>_ns rewrite
+  Counter* counter;
+};
+constexpr std::size_t kPhaseSlots = 256;
+std::atomic<const PhaseEntry*> g_phase_slots[kPhaseSlots];
+std::mutex g_phase_mu;
+
+std::string phase_counter_name(std::string_view name) {
+  std::string out = "phase.";
+  for (const char ch : name) out += ch == '.' ? '_' : ch;
+  return out + "_ns";
+}
+
+}  // namespace
+
+Counter& phase_counter(std::string_view name) {
+  const std::size_t h = std::hash<std::string_view>{}(name);
+  for (std::size_t i = 0; i < kPhaseSlots; ++i) {
+    auto& slot = g_phase_slots[(h + i) % kPhaseSlots];
+    const PhaseEntry* e = slot.load(std::memory_order_acquire);
+    if (e == nullptr) {
+      // First sight of `name` on this probe path: claim the slot under
+      // the lock, unless another thread filled it meanwhile.
+      const std::lock_guard<std::mutex> lock(g_phase_mu);
+      e = slot.load(std::memory_order_relaxed);
+      if (e == nullptr) {
+        e = new PhaseEntry{std::string(name),
+                           &counter(phase_counter_name(name))};
+        slot.store(e, std::memory_order_release);
+      }
+    }
+    if (e->name == name) return *e->counter;
+  }
+  return counter(phase_counter_name(name));  // table full
+}
+
 Snapshot snapshot() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
@@ -93,5 +133,3 @@ void reset() {
 }
 
 }  // namespace starring::obs
-
-#endif  // !STARRING_OBS_DISABLED

@@ -4,8 +4,6 @@
 // Design constraints, in order:
 //   1. Disabled cost ~ zero.  The runtime switch is OFF by default; a
 //      counter op behind it is one relaxed atomic load and a branch.
-//      Configuring with -DSTARRING_OBS=OFF compiles the layer down to
-//      empty inline stubs (STARRING_OBS_DISABLED).
 //   2. No dependencies.  obs sits below every other library in the
 //      repo (core, sim, util all may link it); it depends only on the
 //      standard library.
@@ -15,7 +13,7 @@
 //
 // Naming convention for counters (what lands in BENCH_*.json):
 //   <area>.<what>           e.g. chain.backtracks, oracle.cache_hits
-//   phase.<name>_ns         wall time accumulated by ScopedPhase
+//   phase.<name>_ns         wall time accumulated by obs::Scope
 #pragma once
 
 #include <atomic>
@@ -31,44 +29,6 @@ namespace starring::obs {
 /// Ordered (name, value) view of the registry; the unit of exchange
 /// for EmbedStats::counters and the bench artifact writer.
 using Snapshot = std::vector<std::pair<std::string, std::int64_t>>;
-
-#if defined(STARRING_OBS_DISABLED)
-
-// Compile-time kill switch: every operation is an empty inline.
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-
-class Counter {
- public:
-  void add(std::int64_t = 1) {}
-  void record_max(std::int64_t) {}
-  void set(std::int64_t) {}
-  std::int64_t value() const { return 0; }
-};
-
-inline Counter& counter(std::string_view) {
-  static Counter dummy;
-  return dummy;
-}
-
-inline Snapshot snapshot() { return {}; }
-inline Snapshot snapshot_delta(const Snapshot&) { return {}; }
-inline void reset() {}
-
-class ScopedPhase {
- public:
-  explicit ScopedPhase(std::string_view) {}
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-};
-
-class LatencyHistogram {
- public:
-  explicit LatencyHistogram(std::string_view) {}
-  void record(std::chrono::nanoseconds) {}
-};
-
-#else  // metrics compiled in, gated at runtime
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
@@ -133,29 +93,11 @@ Snapshot snapshot_delta(const Snapshot& before);
 /// Zero every counter (test isolation; not thread-safe vs. writers).
 void reset();
 
-/// RAII span: accumulates the enclosed wall time (steady clock) into
-/// the counter `phase.<name>_ns`.  Cheap no-op when disabled — the
-/// clock is only read if the layer was enabled at entry.
-class ScopedPhase {
- public:
-  explicit ScopedPhase(std::string_view name) {
-    if (!enabled()) return;
-    c_ = &counter(std::string("phase.").append(name).append("_ns"));
-    t0_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedPhase() {
-    if (c_ == nullptr) return;
-    const auto dt = std::chrono::steady_clock::now() - t0_;
-    c_->add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
-  }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  Counter* c_ = nullptr;
-  std::chrono::steady_clock::time_point t0_{};
-};
+/// The counter `phase.<name>_ns` that obs::Scope feeds, with every '.'
+/// of `name` written '_' (svc.batch -> phase.svc_batch_ns).  Each
+/// distinct name is resolved against the registry once; later calls
+/// hash the name into a lock-free table and take no lock.
+Counter& phase_counter(std::string_view name);
 
 /// Fixed-bucket latency histogram over plain counters, so distributions
 /// ride the existing snapshot/JSON machinery without a new exchange
@@ -195,7 +137,5 @@ class LatencyHistogram {
   Counter* count_;
   Counter* total_us_;
 };
-
-#endif  // STARRING_OBS_DISABLED
 
 }  // namespace starring::obs

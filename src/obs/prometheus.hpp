@@ -13,9 +13,8 @@
 //     `_bucket{le="..."}` samples in seconds, `_sum`, and `_count`;
 //     the member counters are dropped from the scalar section.
 //
-// Everything here is pure over a Snapshot, so it works in both compile
-// modes: under -DSTARRING_OBS=OFF the snapshot is empty and the
-// document renders with no samples (still grammatically valid).
+// Everything here is pure over a Snapshot: an empty snapshot renders a
+// document with no samples (still grammatically valid).
 #pragma once
 
 #include <cstdint>

@@ -10,8 +10,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-
-#if !defined(STARRING_OBS_DISABLED)
+#include "obs/scope.hpp"
 
 namespace starring::obs::trace {
 
@@ -239,28 +238,6 @@ void emit(std::string_view name, std::uint64_t trace_id,
   local_ring().push(trace_id, span_id, parent_id, start, dur, buf);
 }
 
-void ScopedSpan::begin(std::string_view name, Context parent) {
-  armed_ = true;
-  ctx_.trace_id = parent.valid() ? parent.trace_id : new_trace_id();
-  ctx_.span_id = new_span_id();
-  parent_span_ = parent.valid() ? parent.span_id : 0;
-  std::memcpy(name_, name.data(),
-              std::min(name.size(), sizeof(name_) - 1));
-  prev_ = t_current;
-  t_current = ctx_;
-  t0_ = std::chrono::steady_clock::now();
-}
-
-void ScopedSpan::end() {
-  const auto t1 = std::chrono::steady_clock::now();
-  t_current = prev_;
-  // Record even if the layer was switched off mid-span: the ids were
-  // allocated and children may already reference this span.
-  const std::int64_t start = rel_ns(t0_);
-  local_ring().push(ctx_.trace_id, ctx_.span_id, parent_span_, start,
-                    std::max<std::int64_t>(0, rel_ns(t1) - start), name_);
-}
-
 ContextGuard::ContextGuard(Context ctx) : prev_(t_current) {
   t_current = ctx;
 }
@@ -302,7 +279,29 @@ RecorderStats stats() {
 
 }  // namespace starring::obs::trace
 
-#endif  // !STARRING_OBS_DISABLED
+namespace starring::obs {
+
+void Scope::begin_span(std::string_view name, trace::Context parent) {
+  armed_ = true;
+  ctx_.trace_id = parent.valid() ? parent.trace_id : trace::new_trace_id();
+  ctx_.span_id = trace::new_span_id();
+  parent_span_ = parent.valid() ? parent.span_id : 0;
+  std::memcpy(name_, name.data(), std::min(name.size(), sizeof(name_) - 1));
+  prev_ = trace::t_current;
+  trace::t_current = ctx_;
+}
+
+void Scope::end_span(std::chrono::steady_clock::time_point t1) {
+  trace::t_current = prev_;
+  // Record even if tracing was switched off mid-span: the ids were
+  // allocated and children may already reference this span.
+  const std::int64_t start = trace::rel_ns(t0_);
+  trace::local_ring().push(ctx_.trace_id, ctx_.span_id, parent_span_, start,
+                           std::max<std::int64_t>(0, trace::rel_ns(t1) - start),
+                           name_);
+}
+
+}  // namespace starring::obs
 
 namespace starring::obs::trace {
 

@@ -10,8 +10,7 @@
 // Design constraints, in order (matching the metrics layer):
 //   1. Disabled cost ~ zero.  The runtime switch is OFF by default
 //      (STARRING_TRACE=1 flips it at startup); a span op behind it is
-//      one relaxed atomic load and a branch, and -DSTARRING_OBS=OFF
-//      compiles the layer down to empty inline stubs.
+//      one relaxed atomic load and a branch.
 //   2. Lock-free recording.  Each thread owns its ring; a span write is
 //      a handful of relaxed atomic stores plus two sequence-word
 //      updates (a per-cell seqlock), never a mutex.  Drains from other
@@ -23,9 +22,10 @@
 //   * A Context is (trace_id, span_id).  Every span belongs to one
 //     trace (one service request, one batch, one bench iteration) and
 //     has at most one parent span.
-//   * ScopedSpan opens a span as a child of the thread's current
-//     context and installs itself as current, so nested scopes chain
-//     automatically; destruction records the completed span.
+//   * obs::Scope (obs/scope.hpp) opens a span as a child of the
+//     thread's current context and installs itself as current, so
+//     nested scopes chain automatically; destruction records the
+//     completed span.
 //   * ContextGuard installs an explicit context (cross-thread
 //     propagation: the thread pool adopts the submitting thread's
 //     context for every worker of a region; the service adopts the
@@ -76,44 +76,6 @@ struct RecorderStats {
   std::uint64_t dropped = 0;   // spans overwritten before a drain saw them
 };
 
-#if defined(STARRING_OBS_DISABLED)
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline std::size_t ring_capacity() { return 0; }
-
-inline Context current() { return {}; }
-inline std::uint64_t new_trace_id() { return 0; }
-inline std::uint64_t new_span_id() { return 0; }
-inline void set_id_namespace(std::uint32_t) {}
-inline std::uint64_t epoch_ns() { return 0; }
-
-inline void emit(std::string_view, std::uint64_t, std::uint64_t,
-                 std::uint64_t, std::chrono::steady_clock::time_point,
-                 std::chrono::steady_clock::time_point) {}
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(std::string_view) {}
-  ScopedSpan(std::string_view, Context) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  Context context() const { return {}; }
-};
-
-class ContextGuard {
- public:
-  explicit ContextGuard(Context) {}
-  ContextGuard(const ContextGuard&) = delete;
-  ContextGuard& operator=(const ContextGuard&) = delete;
-};
-
-inline std::vector<SpanRecord> collect() { return {}; }
-inline void clear() {}
-inline RecorderStats stats() { return {}; }
-
-#else  // tracing compiled in, gated at runtime
-
 namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
@@ -161,42 +123,6 @@ void emit(std::string_view name, std::uint64_t trace_id,
           std::chrono::steady_clock::time_point t0,
           std::chrono::steady_clock::time_point t1);
 
-/// RAII span.  Opens as a child of the thread's current context (or of
-/// an explicit parent), becomes the current context for its scope, and
-/// records itself on destruction.  When the layer is disabled at entry
-/// the constructor is one load and a branch, and nothing is recorded.
-class ScopedSpan {
- public:
-  explicit ScopedSpan(std::string_view name) {
-    if (!enabled()) return;
-    begin(name, current());
-  }
-  ScopedSpan(std::string_view name, Context parent) {
-    if (!enabled()) return;
-    begin(name, parent);
-  }
-  ~ScopedSpan() {
-    if (armed_) end();
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  /// This span's context, handed to other threads as their parent.
-  /// Invalid when the layer was disabled at construction.
-  Context context() const { return armed_ ? ctx_ : Context{}; }
-
- private:
-  void begin(std::string_view name, Context parent);
-  void end();
-
-  bool armed_ = false;
-  Context ctx_{};
-  Context prev_{};  // thread-current context to restore
-  std::uint64_t parent_span_ = 0;
-  char name_[25] = {};  // record name capacity (24) + NUL
-  std::chrono::steady_clock::time_point t0_{};
-};
-
 /// Install `ctx` as the calling thread's current context for one scope
 /// (restores the previous context on destruction).  Used by the thread
 /// pool to propagate the submitting thread's context into workers and
@@ -223,11 +149,9 @@ void clear();
 
 RecorderStats stats();
 
-#endif  // STARRING_OBS_DISABLED
-
 /// Render the flight recorder as Chrome trace_event JSON ("X" events,
 /// microsecond timestamps).  Always writes a well-formed document —
-/// empty when tracing is disabled or compiled out.  Returns false on
+/// empty when tracing is disabled.  Returns false on
 /// stream failure.
 bool write_chrome_trace(std::ostream& os);
 

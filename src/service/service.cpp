@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/verify.hpp"
+#include "obs/scope.hpp"
 #include "stargraph/star_graph.hpp"
 #include "util/failpoint.hpp"
 #include "util/parallel.hpp"
@@ -413,11 +414,11 @@ ServiceResponse EmbedService::finish(const ServiceRequest& req,
   resp.status = ServiceStatus::kOk;
   resp.cache_hit = cache_hit;
   {
-    obs::trace::ScopedSpan span("svc.relabel");
+    const obs::Scope scope("svc.relabel");
     resp.ring = relabel_ring(*ring, inverse_of(canon.to_canonical), req.n);
   }
   if (req.verify || (cache_hit && opts_.verify_on_hit)) {
-    obs::trace::ScopedSpan span("svc.verify");
+    const obs::Scope scope("svc.verify");
     const StarGraph g(req.n);
     const RingReport report = verify_healthy_ring(g, req.faults, resp.ring);
     if (!report.valid) {
@@ -431,11 +432,10 @@ ServiceResponse EmbedService::finish(const ServiceRequest& req,
 }
 
 void EmbedService::run_batch(std::vector<Pending> batch) {
-  obs::ScopedPhase phase("svc_batch");
   // The batch itself is its own trace (the scheduler has no request
   // context); per-request spans below parent into each request's trace
   // via explicit ContextGuards, not into this one.
-  obs::trace::ScopedSpan batch_span("svc.batch");
+  const obs::Scope scope("svc.batch");
   c_batches().add();
   c_batch_size_max().record_max(static_cast<std::int64_t>(batch.size()));
 
@@ -487,11 +487,11 @@ void EmbedService::run_batch(std::vector<Pending> batch) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const obs::trace::ContextGuard as_request(batch[i].span);
       {
-        obs::trace::ScopedSpan span("svc.canonicalize");
+        const obs::Scope scope("svc.canonicalize");
         slots[i].canon = canonicalize(n, batch[i].req.faults);
       }
       {
-        obs::trace::ScopedSpan span("svc.cache_probe");
+        const obs::Scope scope("svc.cache_probe");
         slots[i].ring = cache_.lookup(slots[i].canon.key);
       }
       if (slots[i].ring != nullptr) {
@@ -540,13 +540,13 @@ void EmbedService::run_batch(std::vector<Pending> batch) {
       if (n >= 3 && compute.size() == 1) {
         const obs::trace::ContextGuard as_request(
             batch[compute.front()].span);
-        obs::trace::ScopedSpan span("svc.embed");
+        const obs::Scope scope("svc.embed");
         Slot& s = slots[compute.front()];
         s.ring = compute_canonical(n, s.canon, &cancels.front());
       } else if (n >= 3 && !compute.empty()) {
         parallel_for(0, compute.size(), threads, [&](std::size_t k) {
           const obs::trace::ContextGuard as_request(batch[compute[k]].span);
-          obs::trace::ScopedSpan span("svc.embed");
+          const obs::Scope scope("svc.embed");
           Slot& s = slots[compute[k]];
           s.ring = compute_canonical(n, s.canon, &cancels[k]);
         });
@@ -629,14 +629,12 @@ void EmbedService::scheduler_loop() {
 }
 
 ServiceResponse EmbedService::process_now(const ServiceRequest& req) {
-  obs::ScopedPhase phase("svc_request");
   // Synchronous path: the whole request is one scope, so the root and
-  // its children all come from plain ScopedSpan nesting.  The explicit
+  // its children all come from plain Scope nesting.  The explicit
   // parent context adopts a propagated wire trace (invalid when the
   // request carried none — then this roots a fresh trace, as before).
-  obs::trace::ScopedSpan root(
-      "svc.request",
-      obs::trace::Context{req.trace_id, req.parent_span_id});
+  const obs::Scope root("svc.request",
+                        obs::trace::Context{req.trace_id, req.parent_span_id});
   struct InflightGuard {
     std::atomic<std::uint64_t>& n;
     explicit InflightGuard(std::atomic<std::uint64_t>& c) : n(c) {
@@ -667,19 +665,19 @@ ServiceResponse EmbedService::process_now(const ServiceRequest& req) {
     return error_response(req.id, "unsupported dimension");
   CanonicalForm canon;
   {
-    obs::trace::ScopedSpan span("svc.canonicalize");
+    const obs::Scope scope("svc.canonicalize");
     canon = canonicalize(req.n, req.faults);
   }
   CanonicalRingCache::RingPtr ring;
   {
-    obs::trace::ScopedSpan span("svc.cache_probe");
+    const obs::Scope scope("svc.cache_probe");
     ring = cache_.lookup(canon.key);
   }
   const bool hit = ring != nullptr;
   (hit ? c_hits() : c_misses()).add();
   if (hit) tstate->hits.add();
   if (!hit) {
-    obs::trace::ScopedSpan span("svc.embed");
+    const obs::Scope scope("svc.embed");
     std::atomic<bool> cancel{false};
     const std::uint64_t watch =
         budgeted ? watch_deadline(deadline, &cancel) : 0;

@@ -11,6 +11,7 @@
 //          answered, stdout is flushed, exit 0.  A SIGINT/SIGTERM drain
 //          is bounded by --drain-timeout-ms (overrun aborts the
 //          process: a hung embedding must not wedge shutdown forever).
+//          A failed answer write drains the same way, exit 1.
 //   TCP:   SIGINT/SIGTERM stops accepting, half-closes live
 //          connections (their reads see EOF), drains under the same
 //          bound, escalating laggards to a hard close.
@@ -69,6 +70,7 @@
 #include "core/oracle_store.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "service/service.hpp"
 #include "util/io.hpp"
@@ -77,8 +79,8 @@
 namespace starring {
 namespace {
 
-// Set by SIGINT/SIGTERM or a LEAVE command.  A lock-free atomic is
-// safe to store from a signal handler.
+// Set by SIGINT/SIGTERM, a LEAVE command or a dead stdout.  A
+// lock-free atomic is safe to store from a signal handler.
 std::atomic<bool> g_stop{false};
 static_assert(std::atomic<bool>::is_always_lock_free);
 void on_signal(int) { g_stop.store(true); }
@@ -285,16 +287,26 @@ int serve_stdio(DaemonConfig& cfg) {
   // The fd streambufs every transport uses, not std::cin/std::cout:
   // one buffered write(2) per record, and no cin-to-cout tie for the
   // reader's input sentry to flush while the writer thread formats.
+  // A failed answer write ends stdio as it ends a TCP connection:
+  // io.write_errors counts it, stdout is released (its reader sees
+  // EOF), the reader stops at its next record, the queue drains into
+  // nothing, and the exit code is 1.
+  std::atomic<bool> dead{false};
   net::FdInBuf in_buf(STDIN_FILENO);
-  net::FdOutBuf out_buf(STDOUT_FILENO, /*write_timeout_ms=*/-1, nullptr);
+  net::FdOutBuf out_buf(STDOUT_FILENO, /*write_timeout_ms=*/-1, &dead);
   std::istream in(&in_buf);
   std::ostream out(&out_buf);
   std::mutex out_mu;
   std::thread writer([&] {
     while (auto resp = svc.next_response()) {
       const std::lock_guard<std::mutex> lock(out_mu);
-      write_response(out, *resp);
-      out.flush();
+      if (dead.load()) continue;
+      if (!write_response(out, *resp)) {
+        obs::counter("io.write_errors").add();
+        out_buf.mark_dead();
+      }
+      out.flush();  // a failed write(2) counts and marks `dead` itself
+      if (dead.load()) g_stop.store(true);
     }
   });
 
@@ -308,7 +320,9 @@ int serve_stdio(DaemonConfig& cfg) {
   if (g_stop.load()) drain_guard.emplace(cfg.server.drain_timeout_ms);
   svc.drain();
   writer.join();
-  return clean ? 0 : 1;
+  if (dead.load())
+    std::cerr << "starringd: an answer write failed; answers dropped\n";
+  return clean && !dead.load() ? 0 : 1;
 }
 
 // --- TCP transport ----------------------------------------------------
@@ -464,8 +478,13 @@ int daemon_main(int argc, char** argv) {
     // smoke compares it against the warm run's warm_compute_ms.
     const auto t0 = std::chrono::steady_clock::now();
     std::string err;
-    if (auto snap = load_oracle_snapshot(cfg->oracle_snapshot, &err)) {
-      BlockOracle::import_memo(snap->memo);
+    std::optional<OracleSnapshot> snap;
+    {
+      const obs::Scope scope("snapshot_load");
+      snap = load_oracle_snapshot(cfg->oracle_snapshot, &err);
+      if (snap) BlockOracle::import_memo(snap->memo);
+    }
+    if (snap) {
       cfg->seed_rings = std::move(snap->rings);
       const double load_ms =
           std::chrono::duration<double, std::milli>(

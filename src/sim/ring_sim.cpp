@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 
 namespace starring {
 
@@ -40,7 +41,7 @@ double RingNetworkSim::hop_time(std::size_t from_idx,
 }
 
 SimMetrics RingNetworkSim::run_token_ring(int rounds) {
-  obs::ScopedPhase phase("sim_token_ring");
+  const obs::Scope scope("sim_token_ring");
   SimMetrics m;
   m.participants = ring_.size();
   const std::size_t p = ring_.size();
@@ -70,7 +71,7 @@ SimMetrics RingNetworkSim::run_token_ring(int rounds) {
 }
 
 SimMetrics RingNetworkSim::run_allreduce() {
-  obs::ScopedPhase phase("sim_allreduce");
+  const obs::Scope scope("sim_allreduce");
   SimMetrics m;
   const std::size_t p = ring_.size();
   m.participants = p;
@@ -104,7 +105,7 @@ SimMetrics RingNetworkSim::run_allreduce() {
 }
 
 SimMetrics RingNetworkSim::run_neighbor_exchange(int rounds) {
-  obs::ScopedPhase phase("sim_neighbor_exchange");
+  const obs::Scope scope("sim_neighbor_exchange");
   SimMetrics m;
   const std::size_t p = ring_.size();
   m.participants = p;

@@ -4,6 +4,7 @@
 
 #include "core/verify.hpp"
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 
 namespace starring {
 
@@ -12,7 +13,7 @@ HealingTrace run_self_healing(const StarGraph& g,
                               const SimParams& params,
                               const EmbedStrategy& strategy) {
   using clock = std::chrono::steady_clock;
-  obs::ScopedPhase phase("self_healing");
+  const obs::Scope scope("self_healing");
   HealingTrace trace;
   FaultSet faults;
   for (int step = 0; step <= static_cast<int>(fault_sequence.size()); ++step) {

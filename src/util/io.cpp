@@ -370,11 +370,25 @@ bool RecordReader::ids(std::string_view key, int n,
       return refuse("bad vertex id '" + tok + "'");
     }
     if (at_end(ch) || !digit(ch)) return refuse("truncated sequence");
+    // No more than kMaxTokenLen + 1 characters are read.  Leading zeros
+    // and the first 19 significant digits cannot overflow; from the
+    // 20th on, each digit is checked, and the first overflow ends the
+    // read.
+    std::size_t len = 0;
+    for (; ch == '0' && len <= kMaxTokenLen; ch = in->snextc()) ++len;
+    const std::size_t zeros = len;
     VertexId id = 0;
+    for (const std::size_t fast = std::min(len + 19, kMaxTokenLen + 1);
+         len < fast && digit(ch); ++len, ch = in->snextc())
+      id = id * 10 + static_cast<VertexId>(ch - '0');
     bool wrapped = false;
-    for (; digit(ch); ch = in->snextc())
-      wrapped |= __builtin_mul_overflow(id, 10, &id) |
-                 __builtin_add_overflow(id, ch - '0', &id);
+    for (; len <= kMaxTokenLen && !wrapped && digit(ch);
+         ++len, ch = in->snextc())
+      wrapped = __builtin_mul_overflow(id, 10, &id) |
+                __builtin_add_overflow(id, ch - '0', &id);
+    if (len > kMaxTokenLen && !wrapped)
+      return refuse("bad vertex id '" + std::string(zeros, '0') +
+                    (zeros < len ? std::to_string(id) : "") + "'");
     at_end(ch);  // an id that ends the stream sets eofbit
     if (wrapped) return refuse("truncated sequence");
     if (id >= limit)

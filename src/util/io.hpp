@@ -206,7 +206,10 @@ class RecordReader {
   /// past n!).  The ids are read digit by digit off the stream buffer:
   /// `truncated sequence` at end of stream, on a non-digit or past
   /// 2^64 - 1, `vertex id out of range: N` at N >= n!, and `bad vertex
-  /// id '<token>'` on a signed token (`>>` would wrap `-1` into range).
+  /// id '<token>'` on a signed token (`>>` would wrap `-1` into range)
+  /// or on a zero-padded digit run of kMaxTokenLen + 1 (those
+  /// characters are quoted).  No id is read past kMaxTokenLen + 1
+  /// characters, nor past the digit that overflows.
   bool ids(std::string_view key, int n, std::vector<VertexId>* out);
   /// Optional `key ...` lines, any order, each at most once, up to the
   /// `stop` token.  read(k, word) parses the value of keys[k]; false

@@ -225,8 +225,16 @@ void FdOutBuf::mark_dead() {
   if (dead_ != nullptr) dead_->store(true, std::memory_order_relaxed);
   setp(buf_.get(), buf_.get() + kBufferSize);
   // Both directions: wake a reader blocked in poll and refuse any
-  // queued peer bytes — the connection is done.
-  ::shutdown(fd_, SHUT_RDWR);
+  // queued peer bytes — the connection is done.  A pipe or file
+  // (starringd's stdout) has no shutdown: /dev/null takes over the fd
+  // number instead, which releases the pipe so its reader sees EOF.
+  if (::shutdown(fd_, SHUT_RDWR) != 0 && errno == ENOTSOCK) {
+    const int null_fd = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
+    if (null_fd >= 0) {
+      ::dup2(null_fd, fd_);
+      ::close(null_fd);
+    }
+  }
 }
 
 bool FdOutBuf::write_all(const char* p, std::size_t count) {

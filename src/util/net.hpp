@@ -109,7 +109,8 @@ class FdOutBuf : public std::streambuf {
   FdOutBuf(int fd, int write_timeout_ms, std::atomic<bool>* dead);
 
   /// Owner-invoked kill switch: sets `dead`, drops the buffered bytes
-  /// and hard-closes the socket so the peer sees EOF.  Used when a
+  /// and hard-closes the socket (a pipe's fd is pointed at /dev/null)
+  /// so the peer sees EOF.  Used when a
   /// response fails to serialize — a wedged output stream must not
   /// leave the connection half-alive, nor send half a record.
   void mark_dead();

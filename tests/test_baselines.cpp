@@ -108,6 +108,21 @@ TEST(Latifi, ClusteredRingLengthIsNfactMinusMfact) {
   }
 }
 
+TEST(Latifi, ClusteredRingsNeedTheChainSearch) {
+  // Excising the enclosing substar leaves chains that the first
+  // rotation cannot close: the backtracking search and the restarts are
+  // load-bearing for this caller, not dead code.
+  const StarGraph g(6);
+  const auto restarted =
+      latifi_clustered_ring(g, substar_clustered_faults(g, 3, 0));
+  ASSERT_TRUE(restarted.has_value());
+  EXPECT_GE(restarted->embed.stats.restarts, 1);
+  const auto backtracked =
+      latifi_clustered_ring(g, substar_clustered_faults(g, 3, 11));
+  ASSERT_TRUE(backtracked.has_value());
+  EXPECT_GE(backtracked->embed.stats.backtracks, 1);
+}
+
 TEST(Latifi, LargeEnclosingSubstar) {
   // Faults spread inside an S_5 of S_7: ring of 7! - 5!.
   const StarGraph g(7);

@@ -679,6 +679,38 @@ TEST(CodecBounds, HugeTokenIsRefusedAfterABoundedRead) {
   EXPECT_LE(consumed(in), std::size_t{64} << 10);
 }
 
+TEST(CodecStrict, OverlongIdIsRefusedAfterABoundedRead) {
+  // Leading zeros do not make an id legal past the token cap: 16 MB of
+  // `0` then `1` used to read as vertex 1.  The refusal quotes the
+  // first kMaxTokenLen + 1 characters, and no more than those are read.
+  const std::string zeros(std::size_t{16} << 20, '0');
+  const std::string want =
+      "bad vertex id '" + std::string(kMaxTokenLen + 1, '0') + "'";
+  std::istringstream seed("starring-seed v1\nn 4\nkey k\nring 2\n0 " +
+                          zeros + "1\nend\n");
+  std::string err;
+  EXPECT_FALSE(read_request(seed, &err).has_value());
+  EXPECT_EQ(err, want);
+  EXPECT_LE(consumed(seed), std::size_t{64} << 10);
+  // One character under the cap is still a (zero-padded) id.
+  const IdsOutcome under = read_ids(
+      "ring 2\n0 " + std::string(kMaxTokenLen - 1, '0') + "1\nend\n", 5);
+  EXPECT_TRUE(under.ok) << under.err;
+  EXPECT_EQ(under.ids, (std::vector<VertexId>{0, 1}));
+  const IdsOutcome at = read_ids(
+      "ring 2\n0 " + std::string(kMaxTokenLen, '0') + "1\nend\n", 5);
+  EXPECT_FALSE(at.ok);
+  EXPECT_EQ(at.err,
+            "bad vertex id '" + std::string(kMaxTokenLen, '0') + "1'");
+  // A long run of significant digits stops at its overflow.
+  std::istringstream nines("starring-seed v1\nn 4\nkey k\nring 2\n0 " +
+                           std::string(std::size_t{16} << 20, '9') +
+                           "\nend\n");
+  EXPECT_FALSE(read_request(nines, &err).has_value());
+  EXPECT_EQ(err, "truncated sequence");
+  EXPECT_LE(consumed(nines), std::size_t{64} << 10);
+}
+
 TEST(CodecBounds, HugeLineFieldsAreRefusedAfterABoundedRead) {
   const std::string huge(std::size_t{16} << 20, 'x');
   const std::string head =
@@ -714,7 +746,8 @@ TEST(CodecBounds, HugeLineFieldsAreRefusedAfterABoundedRead) {
 /// Every deterministic mutation of a golden record: truncation at each
 /// byte, each byte replaced by a few fixed characters, each line
 /// dropped, duplicated and swapped with the next, and each number
-/// replaced by -1, 0 and 2^64.
+/// replaced by -1, 0 and 2^64 and grown past the token cap with leading
+/// zeros.
 std::vector<std::string> mutations(const std::string& text) {
   std::vector<std::string> out;
   for (std::size_t k = 0; k < text.size(); ++k)
@@ -755,6 +788,8 @@ std::vector<std::string> mutations(const std::string& text) {
     while (digit(j)) ++j;
     for (const char* number : {"-1", "0", "18446744073709551616"})
       out.push_back(text.substr(0, i) + number + text.substr(j));
+    out.push_back(text.substr(0, i) + std::string(kMaxTokenLen, '0') +
+                  text.substr(i));
   }
   return out;
 }

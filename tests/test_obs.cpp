@@ -9,20 +9,22 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/ring_embedder.hpp"
 #include "fault/generators.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 #include "service/service.hpp"
 #include "util/parallel.hpp"
 
 namespace starring {
 namespace {
 
-#if !defined(STARRING_OBS_DISABLED)
 
 /// Enable metrics for one test, restoring the previous state after.
 class MetricsOn {
@@ -138,13 +140,40 @@ TEST(ObsMetrics, SnapshotDeltaMatchesBaselineByName) {
   EXPECT_EQ(value("p.delta_z"), 4);
 }
 
-TEST(ObsMetrics, ScopedPhaseAccumulatesWallTime) {
+TEST(ObsMetrics, ScopeAccumulatesWallTime) {
   MetricsOn on;
   {
-    obs::ScopedPhase p("test_sleep");
+    const obs::Scope scope("test_sleep");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_GE(obs::counter("phase.test_sleep_ns").value(), 1'000'000);
+}
+
+TEST(ObsMetrics, PhaseCounterInternsEachNameOnceAcrossThreads) {
+  // Threads racing to intern the same fresh names (each in its own
+  // order) must all land on the one registry counter per name; the TSan
+  // build runs this against the lock-free probe path.
+  constexpr int kNames = 64;
+  constexpr int kThreads = 4;
+  std::vector<std::string> names;
+  for (int i = 0; i < kNames; ++i)
+    names.push_back("intern.race." + std::to_string(i));
+  std::vector<std::vector<obs::Counter*>> got(
+      kThreads, std::vector<obs::Counter*>(kNames, nullptr));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kNames; ++k) {
+        const int i = (k * (2 * t + 1) + t) % kNames;
+        got[t][i] = &obs::phase_counter(names[i]);
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (int i = 0; i < kNames; ++i) {
+    obs::Counter* want =
+        &obs::counter("phase.intern_race_" + std::to_string(i) + "_ns");
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t][i], want) << i;
+  }
 }
 
 TEST(ObsMetrics, EmbedStatsCarryCounterSnapshot) {
@@ -365,7 +394,6 @@ TEST(ObsMetrics, ServiceVerifyCountersViaProcessNow) {
   EXPECT_EQ(obs::counter("svc.cache_misses").value(), 1);
 }
 
-#endif  // !STARRING_OBS_DISABLED
 
 TEST(ObsJson, EscapeCoversSpecials) {
   EXPECT_EQ(obs::json_escape("a\"b\\c\n\t"), "a\\\"b\\\\c\\n\\t");

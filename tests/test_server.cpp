@@ -4,8 +4,11 @@
 // and bounded drain, the buffered socket writer under every response
 // (util/net.hpp FdOutBuf), and the strict numeric flag parsers both
 // daemons use.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -456,6 +459,92 @@ TEST_F(FdOutBufTest, AResponseThatFailsToSerializeSendsNothing) {
   EXPECT_TRUE(conn.dead);
   char byte = 0;
   EXPECT_EQ(::recv(fds_[1], &byte, 1, 0), 0);  // EOF, with zero bytes
+}
+
+// --- starringd over stdio ----------------------------------------------
+
+/// <build>/src/service/starringd, found from /proc/self/exe =
+/// <build>/tests/test_server.
+std::string starringd_path() {
+  char buf[4096];
+  const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
+  if (len <= 0) return {};
+  std::string path(buf, static_cast<std::size_t>(len));
+  path.resize(path.rfind('/'));  // <build>/tests
+  path.resize(path.rfind('/'));
+  return path + "/src/service/starringd";
+}
+
+TEST(StdioDaemon, AFailedAnswerWriteClosesStdoutAndExitsNonZero) {
+  // A failed answer write must not pass silently: stdout is released
+  // at once (its reader sees EOF, as a TCP peer would), the daemon
+  // stops at its next record and exits 1 -- with stdin still open.
+  if (!failpoint::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
+  const std::string bin = starringd_path();
+  ASSERT_EQ(::access(bin.c_str(), X_OK), 0) << bin;
+  int to_child[2];
+  int from_child[2];
+  ASSERT_EQ(::pipe2(to_child, O_CLOEXEC), 0);
+  ASSERT_EQ(::pipe2(from_child, O_CLOEXEC), 0);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(to_child[0], STDIN_FILENO);
+    ::dup2(from_child[1], STDOUT_FILENO);
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    ::dup2(null_fd, STDERR_FILENO);
+    ::execl(bin.c_str(), bin.c_str(), static_cast<char*>(nullptr));
+    std::_Exit(127);
+  }
+  ASSERT_GT(pid, 0);
+  ::close(to_child[0]);
+  ::close(from_child[1]);
+  const auto old = std::signal(SIGPIPE, SIG_IGN);
+  const auto send = [&](const std::string& text) {
+    return ::write(to_child[1], text.data(), text.size()) ==
+           static_cast<ssize_t>(text.size());
+  };
+
+  std::ostringstream batch;
+  batch << "FAIL io.write_response=error@once\n";
+  for (std::uint64_t id = 1; id <= 3; ++id)
+    write_request(batch, ServiceRequest{.id = id, .n = 5});
+  EXPECT_TRUE(send(batch.str()));
+  std::string got;
+  bool eof = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!eof && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{from_child[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    char buf[4096];
+    const ssize_t k = ::read(from_child[0], buf, sizeof buf);
+    if (k > 0)
+      got.append(buf, static_cast<std::size_t>(k));
+    else
+      eof = true;
+  }
+  EXPECT_TRUE(eof) << "stdout stayed open after the failed write";
+  EXPECT_EQ(got, "FAIL ok\n");
+
+  EXPECT_TRUE(send("PING\n"));  // the reader stops after this record
+  int status = 0;
+  pid_t done = 0;
+  for (int waited = 0; done == 0 && waited < 20000; waited += 20) {
+    done = ::waitpid(pid, &status, WNOHANG);
+    if (done == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  if (done == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    ADD_FAILURE() << "starringd kept running after its stdout died";
+  } else {
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+  }
+  std::signal(SIGPIPE, old);
+  ::close(to_child[1]);
+  ::close(from_child[0]);
 }
 
 // --- strict numeric flags ----------------------------------------------

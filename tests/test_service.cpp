@@ -435,14 +435,12 @@ TEST(EmbedServiceQoS, QuotaThrottlesAndUntaggedRequestsUseDefaultTenant) {
   ServiceOptions opts;
   opts.tenant_rate = 0.001;  // no meaningful refill within the test
   opts.tenant_burst = 2;
-#if !defined(STARRING_OBS_DISABLED)
   const bool was = obs::enabled();
   obs::set_enabled(true);
   const std::int64_t req_before =
       obs::counter("svc.tenant.default.requests").value();
   const std::int64_t thr_before =
       obs::counter("svc.tenant.default.throttled").value();
-#endif
   {
     EmbedService svc(opts);
     const StarGraph g(5);
@@ -462,13 +460,11 @@ TEST(EmbedServiceQoS, QuotaThrottlesAndUntaggedRequestsUseDefaultTenant) {
     EXPECT_EQ(ok, 2) << "burst of 2 tokens admits exactly 2";
     EXPECT_EQ(throttled, 3);
   }
-#if !defined(STARRING_OBS_DISABLED)
   EXPECT_EQ(obs::counter("svc.tenant.default.requests").value() - req_before,
             5);
   EXPECT_EQ(
       obs::counter("svc.tenant.default.throttled").value() - thr_before, 3);
   obs::set_enabled(was);
-#endif
 }
 
 TEST(EmbedServiceQoS, SubmittedThrottleIsDeliveredAsTerminalResponse) {

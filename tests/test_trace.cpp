@@ -12,9 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/ring_embedder.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
+#include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
 
@@ -35,7 +37,6 @@ class TraceTest : public ::testing::Test {
   }
 };
 
-#if !defined(STARRING_OBS_DISABLED)
 
 std::map<std::string, trace::SpanRecord> by_name(
     const std::vector<trace::SpanRecord>& records) {
@@ -46,9 +47,9 @@ std::map<std::string, trace::SpanRecord> by_name(
 
 TEST_F(TraceTest, NestedScopesChainParentLinks) {
   {
-    trace::ScopedSpan outer("outer");
-    trace::ScopedSpan mid("mid");
-    { trace::ScopedSpan inner("inner"); }
+    obs::Scope outer("outer");
+    obs::Scope mid("mid");
+    { obs::Scope inner("inner"); }
   }
   const auto m = by_name(trace::collect());
   ASSERT_EQ(m.size(), 3u);
@@ -68,9 +69,9 @@ TEST_F(TraceTest, NestedScopesChainParentLinks) {
 
 TEST_F(TraceTest, SiblingScopesShareParentNotIds) {
   {
-    trace::ScopedSpan root("root");
-    { trace::ScopedSpan a("a"); }
-    { trace::ScopedSpan b("b"); }
+    obs::Scope root("root");
+    { obs::Scope a("a"); }
+    { obs::Scope b("b"); }
   }
   const auto m = by_name(trace::collect());
   ASSERT_EQ(m.size(), 3u);
@@ -80,8 +81,8 @@ TEST_F(TraceTest, SiblingScopesShareParentNotIds) {
 }
 
 TEST_F(TraceTest, SeparateRootsGetSeparateTraces) {
-  { trace::ScopedSpan a("a"); }
-  { trace::ScopedSpan b("b"); }
+  { obs::Scope a("a"); }
+  { obs::Scope b("b"); }
   const auto m = by_name(trace::collect());
   ASSERT_EQ(m.size(), 2u);
   EXPECT_NE(m.at("a").trace_id, m.at("b").trace_id);
@@ -90,11 +91,52 @@ TEST_F(TraceTest, SeparateRootsGetSeparateTraces) {
 TEST_F(TraceTest, DisabledRecordsNothingAndContextStaysInvalid) {
   trace::set_enabled(false);
   {
-    trace::ScopedSpan span("ghost");
+    obs::Scope span("ghost");
     EXPECT_FALSE(span.context().valid());
     EXPECT_FALSE(trace::current().valid());
   }
   EXPECT_TRUE(trace::collect().empty());
+}
+
+TEST_F(TraceTest, ScopeFeedsPhaseCounterAndSpanUnderOneName) {
+  // One instrument, two sinks: the span keeps the dotted name and the
+  // counter writes each '.' as '_'.  A copy of the name in another
+  // buffer resolves to the same counter.
+  const bool was = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& c = obs::counter("phase.test_scope_both_ns");
+  const std::int64_t before = c.value();
+  char copy[] = "test.scope.both";
+  { const obs::Scope scope("test.scope.both"); }
+  { const obs::Scope scope(copy); }
+  EXPECT_EQ(&obs::phase_counter(copy), &c);
+  EXPECT_GT(c.value(), before);
+  const auto records = trace::collect();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].name, "test.scope.both");
+  EXPECT_EQ(records[1].name, "test.scope.both");
+
+  // Both switches off: no span and no counter growth.
+  trace::set_enabled(false);
+  obs::set_enabled(false);
+  const std::int64_t off_before = c.value();
+  { const obs::Scope scope("test.scope.both"); }
+  EXPECT_EQ(c.value(), off_before);
+  EXPECT_EQ(trace::collect().size(), 2u);
+  obs::set_enabled(was);
+}
+
+TEST_F(TraceTest, EmbedSpanDoesNotNeedTheMetricsSwitch) {
+  // Tracing alone records the pipeline's spans, `embed` included.
+  const bool was = obs::enabled();
+  obs::set_enabled(false);
+  const StarGraph g(5);
+  ASSERT_TRUE(embed_longest_ring(g, FaultSet{}).has_value());
+  obs::set_enabled(was);
+  const auto m = by_name(trace::collect());
+  ASSERT_EQ(m.count("embed"), 1u);
+  ASSERT_EQ(m.count("chain_search"), 1u);
+  EXPECT_EQ(m.at("chain_search").trace_id, m.at("embed").trace_id);
 }
 
 TEST_F(TraceTest, ExplicitParentOverridesThreadCurrent) {
@@ -102,8 +144,8 @@ TEST_F(TraceTest, ExplicitParentOverridesThreadCurrent) {
   foreign.trace_id = trace::new_trace_id();
   foreign.span_id = trace::new_span_id();
   {
-    trace::ScopedSpan ambient("ambient");
-    trace::ScopedSpan adopted("adopted", foreign);
+    obs::Scope ambient("ambient");
+    obs::Scope adopted("adopted", foreign);
     EXPECT_EQ(adopted.context().trace_id, foreign.trace_id);
   }
   const auto m = by_name(trace::collect());
@@ -127,7 +169,7 @@ TEST_F(TraceTest, EmitRecordsExplicitIntervals) {
 }
 
 TEST_F(TraceTest, LongNamesTruncateWithoutCorruption) {
-  { trace::ScopedSpan span("a.very.long.span.name.that.exceeds.the.cap"); }
+  { obs::Scope span("a.very.long.span.name.that.exceeds.the.cap"); }
   const auto records = trace::collect();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].name, "a.very.long.span.name.th");  // 24 bytes
@@ -138,10 +180,10 @@ TEST_F(TraceTest, ContextPropagatesAcrossPoolWorkers) {
   std::vector<trace::Context> seen(kItems);
   trace::Context root_ctx;
   {
-    trace::ScopedSpan root("fanout_root");
+    obs::Scope root("fanout_root");
     root_ctx = root.context();
     parallel_for(0, kItems, 4, [&](std::size_t i) {
-      trace::ScopedSpan item("item");
+      obs::Scope item("item");
       seen[i] = trace::current();
       // Enough per-item work that the caller lane cannot drain every
       // chunk before a worker wakes — the fan-out must cross threads.
@@ -168,15 +210,15 @@ TEST_F(TraceTest, ContextPropagatesAcrossPoolWorkers) {
 
 TEST_F(TraceTest, WorkerContextRestoredBetweenRegions) {
   {
-    trace::ScopedSpan root("first_region");
+    obs::Scope root("first_region");
     parallel_for(0, 8, 3, [&](std::size_t) {
-      trace::ScopedSpan s("first_item");
+      obs::Scope s("first_item");
     });
   }
   // No ambient context now: items of this region must start new traces,
   // not inherit a stale context from the previous region's workers.
   parallel_for(0, 8, 3, [&](std::size_t) {
-    trace::ScopedSpan s("second_item");
+    obs::Scope s("second_item");
   });
   for (const auto& r : trace::collect()) {
     if (r.name == "second_item") {
@@ -190,7 +232,7 @@ TEST_F(TraceTest, RingOverwritesOldestKeepsNewest) {
   // A fresh thread gets its own ring; overflow it deterministically.
   std::thread t([&] {
     for (std::size_t i = 0; i < cap + 10; ++i) {
-      trace::ScopedSpan span("overflow");
+      obs::Scope span("overflow");
     }
   });
   t.join();
@@ -212,7 +254,7 @@ TEST_F(TraceTest, ConcurrentRecordAndCollectStaysWellFormed) {
   for (int w = 0; w < 4; ++w) {
     writers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        trace::ScopedSpan span("w");
+        obs::Scope span("w");
       }
     });
   }
@@ -228,7 +270,7 @@ TEST_F(TraceTest, ConcurrentRecordAndCollectStaysWellFormed) {
 }
 
 TEST_F(TraceTest, CollectIsSortedByStartTime) {
-  for (int i = 0; i < 20; ++i) trace::ScopedSpan("tick");
+  for (int i = 0; i < 20; ++i) obs::Scope("tick");
   const auto records = trace::collect();
   ASSERT_GE(records.size(), 20u);
   for (std::size_t i = 1; i < records.size(); ++i)
@@ -241,8 +283,8 @@ TEST_F(TraceTest, IdNamespaceSeparatesProcesses) {
   // collide.  clear() must re-seed at the namespace base, not 1.
   trace::set_id_namespace(3);
   trace::clear();
-  { trace::ScopedSpan span("a"); }
-  { trace::ScopedSpan span("b"); }
+  { obs::Scope span("a"); }
+  { obs::Scope span("b"); }
   const auto records = trace::collect();
   ASSERT_EQ(records.size(), 2u);
   for (const auto& r : records) {
@@ -258,7 +300,7 @@ TEST_F(TraceTest, WireContextAdoptedAsParent) {
   // A request arriving with a `trace` line hands its context to the
   // server-side root span: same trace id, remote span as parent.
   const trace::Context wire{(std::uint64_t{7} << 48) + 5, 99};
-  { trace::ScopedSpan root("svc.request", wire); }
+  { obs::Scope root("svc.request", wire); }
   const auto records = trace::collect();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].trace_id, wire.trace_id);
@@ -270,12 +312,11 @@ TEST_F(TraceTest, EpochIsStableAndNonZero) {
   EXPECT_EQ(trace::epoch_ns(), trace::epoch_ns());
 }
 
-#endif  // !STARRING_OBS_DISABLED
 
 TEST_F(TraceTest, ChromeTraceExportParsesAndNests) {
   {
-    trace::ScopedSpan outer("svc.outer");
-    trace::ScopedSpan inner("svc.inner");
+    obs::Scope outer("svc.outer");
+    obs::Scope inner("svc.inner");
   }
   std::ostringstream os;
   ASSERT_TRUE(trace::write_chrome_trace(os));
@@ -284,7 +325,6 @@ TEST_F(TraceTest, ChromeTraceExportParsesAndNests) {
   ASSERT_TRUE(doc.has_value()) << error;
   const auto* events = doc->find("traceEvents");
   ASSERT_NE(events, nullptr);
-#if !defined(STARRING_OBS_DISABLED)
   ASSERT_EQ(events->array.size(), 2u);
   for (const auto& e : events->array) {
     EXPECT_EQ(e.find("ph")->string, "X");
@@ -301,9 +341,6 @@ TEST_F(TraceTest, ChromeTraceExportParsesAndNests) {
       a.find("name")->string == "svc.outer" ? b : a;
   EXPECT_EQ(inner_ev.find("args")->find("parent")->number,
             outer_ev.find("args")->find("span")->number);
-#else
-  EXPECT_TRUE(events->array.empty());
-#endif
 }
 
 TEST_F(TraceTest, ChromeTraceEmptyRecorderIsWellFormed) {
