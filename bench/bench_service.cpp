@@ -16,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -119,18 +120,20 @@ void BM_BatchedThroughput(benchmark::State& state) {
   const StarGraph g(n);
   const int kBurst = 32;
   for (auto _ : state) {
-    EmbedService svc;
-    for (int i = 0; i < kBurst; ++i) {
-      ServiceRequest r;
-      r.id = static_cast<std::uint64_t>(i);
-      r.n = n;
-      r.faults = random_vertex_faults(g, 1 + i % (n - 3), i % 4);
-      svc.submit(std::move(r));
-    }
-    svc.drain();
-    int ok = 0;
-    while (auto resp = svc.next_response())
-      ok += resp->status == ServiceStatus::kOk;
+    std::atomic<int> ok{0};
+    {
+      EmbedService svc;
+      for (int i = 0; i < kBurst; ++i) {
+        ServiceRequest r;
+        r.id = static_cast<std::uint64_t>(i);
+        r.n = n;
+        r.faults = random_vertex_faults(g, 1 + i % (n - 3), i % 4);
+        svc.submit(std::move(r), [&ok](ServiceResponse resp) {
+          ok += resp.status == ServiceStatus::kOk;
+        });
+      }
+      svc.drain();
+    }  // destruction waits for the last answer
     if (ok != kBurst) state.SkipWithError("lost responses");
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <mutex>
 #include <random>
+#include <vector>
 
 #include "core/verify.hpp"
 #include "fault/generators.hpp"
@@ -30,46 +32,57 @@ int main(int argc, char** argv) {
   const StarGraph g(n);
   ServiceOptions opts;
   opts.verify_on_hit = true;
-  EmbedService svc(opts);
 
-  // Burst of random scenarios through the queue + batcher.
+  // Burst of random scenarios through the queue + batcher.  Answers
+  // arrive on the scheduler thread; destroying the service waits for
+  // the last of them.
   std::mt19937_64 rng(seed);
   std::map<std::uint64_t, FaultSet> submitted;
-  for (int i = 0; i < count; ++i) {
-    ServiceRequest r;
-    r.id = static_cast<std::uint64_t>(i);
-    r.n = n;
-    r.faults = random_vertex_faults(
-        g, static_cast<int>(rng() % static_cast<std::uint64_t>(n - 2)), rng());
-    r.verify = true;
-    submitted.emplace(r.id, r.faults);
-    svc.submit(std::move(r));
+  std::mutex mu;
+  std::vector<ServiceResponse> answers;
+  {
+    EmbedService svc(opts);
+    for (int i = 0; i < count; ++i) {
+      ServiceRequest r;
+      r.id = static_cast<std::uint64_t>(i);
+      r.n = n;
+      r.faults = random_vertex_faults(
+          g, static_cast<int>(rng() % static_cast<std::uint64_t>(n - 2)),
+          rng());
+      r.verify = true;
+      submitted.emplace(r.id, r.faults);
+      svc.submit(std::move(r), [&](ServiceResponse resp) {
+        const std::lock_guard<std::mutex> lock(mu);
+        answers.push_back(std::move(resp));
+      });
+    }
+    svc.drain();
   }
-  svc.drain();
 
   int ok = 0;
   int hits = 0;
-  while (auto resp = svc.next_response()) {
-    if (resp->status != ServiceStatus::kOk) {
-      std::cerr << "request " << resp->id << " failed: " << resp->reason
+  for (const ServiceResponse& resp : answers) {
+    if (resp.status != ServiceStatus::kOk) {
+      std::cerr << "request " << resp.id << " failed: " << resp.reason
                 << "\n";
       return 1;
     }
     const auto rep =
-        verify_healthy_ring(g, submitted.at(resp->id), resp->ring);
+        verify_healthy_ring(g, submitted.at(resp.id), resp.ring);
     if (!rep.valid) {
-      std::cerr << "request " << resp->id << " verification FAILED: "
+      std::cerr << "request " << resp.id << " verification FAILED: "
                 << rep.error << "\n";
       return 1;
     }
     ++ok;
-    hits += resp->cache_hit;
+    hits += resp.cache_hit;
   }
   std::cout << ok << "/" << count << " requests embedded and verified, "
             << hits << " cache hits\n";
 
   // The symmetry dividend: any relabeling of a solved instance is a
   // hit, with the cached canonical ring mapped into the caller's frame.
+  EmbedService svc(opts);
   const FaultSet base = random_vertex_faults(g, n - 3, seed);
   ServiceRequest fresh;
   fresh.id = 1000;

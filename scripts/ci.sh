@@ -81,11 +81,14 @@ service_smoke_tcp() {
   local smoke_dir="$build_dir/service-smoke-tcp"
   local port=47113
   mkdir -p "$smoke_dir"
+  # Global and EXIT too, as in cluster_smoke: a failing gate ends the
+  # script under set -e without running a RETURN trap.
+  SERVICE_TCP_PIDS=()
+  trap 'kill -9 "${SERVICE_TCP_PIDS[@]}" 2>/dev/null || true' RETURN EXIT
   "$build_dir/src/service/starringd" --listen "$port" \
     --trace-out "$smoke_dir/trace.json" &
   local daemon_pid=$!
-  # shellcheck disable=SC2064
-  trap "kill -9 $daemon_pid 2>/dev/null || true" RETURN
+  SERVICE_TCP_PIDS+=("$daemon_pid")
   for _ in $(seq 50); do
     if ! kill -0 "$daemon_pid" 2>/dev/null; then
       echo "service smoke (tcp): daemon died during startup" >&2; return 1
@@ -130,11 +133,15 @@ load_soak() {
   local soak_dir="$build_dir/load-soak"
   local port=47161
   mkdir -p "$soak_dir"
+  # Global and EXIT too, as in cluster_smoke: a failing gate ends the
+  # script under set -e without running a RETURN trap, and a daemon
+  # left on port 47161 would be what the next run measures.
+  LOAD_SOAK_PIDS=()
+  trap 'kill -9 "${LOAD_SOAK_PIDS[@]}" 2>/dev/null || true' RETURN EXIT
   "$build_dir/src/service/starringd" --listen "$port" \
     --tenant-rate 500 --tenant-burst 250 &
   local daemon_pid=$!
-  # shellcheck disable=SC2064
-  trap "kill -9 $daemon_pid 2>/dev/null || true" RETURN
+  LOAD_SOAK_PIDS+=("$daemon_pid")
   for _ in $(seq 50); do
     if ! kill -0 "$daemon_pid" 2>/dev/null; then
       echo "load soak: daemon died during startup" >&2; return 1

@@ -143,9 +143,11 @@ Answer answer_command(ServiceRequest& req, std::ostream& out,
 
 bool serve_requests(std::istream& in, std::ostream& out, std::mutex& out_mu,
                     const std::atomic<bool>& quit, const CommandTable& table,
-                    const std::function<void(ServiceRequest&)>& embed) {
+                    const std::function<void(ServiceRequest&)>& embed,
+                    const std::atomic<bool>* stop) {
   std::string err;
-  while (!quit.load(std::memory_order_relaxed)) {
+  while (!quit.load(std::memory_order_relaxed) &&
+         (stop == nullptr || !stop->load(std::memory_order_relaxed))) {
     auto req = read_request(in, &err);
     if (!req) {
       if (err.empty()) return true;  // clean EOF
@@ -166,18 +168,20 @@ bool serve_requests(std::istream& in, std::ostream& out, std::mutex& out_mu,
   return true;
 }
 
-void TcpConn::send(const ServiceResponse& resp) {
+void Conn::send(const ServiceResponse& resp) {
   if (dead.load(std::memory_order_relaxed)) return;
   const std::lock_guard<std::mutex> lock(out_mu);
-  if (write_response(out, resp))
-    out.flush();
-  else
+  if (write_response(out, resp)) {
+    out.flush();  // a failed write(2) counts and marks `dead` itself
+  } else {
+    obs::counter("io.write_errors").add();
     out_buf.mark_dead();
+  }
 }
 
 void run_acceptor(int listen_fd, const AcceptorOptions& opts,
                   const std::atomic<bool>& stop,
-                  const std::function<void(TcpConn&)>& serve,
+                  const std::function<void(Conn&)>& serve,
                   const std::function<void()>& on_stop) {
   net::ConnRegistry reg;
   obs::Counter& accept_errors = obs::counter("svc.accept_errors");
@@ -209,7 +213,7 @@ void run_acceptor(int listen_fd, const AcceptorOptions& opts,
     // closing, so a reused fd number never aliases a live entry.
     std::thread([fd, &reg, &serve, &opts] {
       {
-        TcpConn conn(fd, opts.write_timeout_ms);
+        Conn conn(fd, fd, opts.write_timeout_ms);
         serve(conn);
       }
       reg.remove(fd);

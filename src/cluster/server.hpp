@@ -70,28 +70,32 @@ Answer answer_command(ServiceRequest& req, std::ostream& out,
 /// reset — pull repeatedly).
 TraceDump local_trace(const std::string& process);
 
-/// Serve records from `in` until clean EOF, `quit`, a framing error or
-/// a kClose answer.  A framing error poisons the token stream: it gets
-/// one `status error` / `parse: <why>` response and ends the loop.
-/// Returns false only in that case.
+/// Serve records from `in` until clean EOF, `quit` (or a non-null
+/// `stop`) is set, a framing error or a kClose answer.  A framing error
+/// poisons the token stream: it gets one `status error` / `parse:
+/// <why>` response and ends the loop.  Returns false only in that case.
 bool serve_requests(std::istream& in, std::ostream& out, std::mutex& out_mu,
                     const std::atomic<bool>& quit, const CommandTable& table,
-                    const std::function<void(ServiceRequest&)>& embed);
+                    const std::function<void(ServiceRequest&)>& embed,
+                    const std::atomic<bool>* stop = nullptr);
 
-/// One accepted TCP connection: the socket is non-blocking, reads wait
-/// forever (the drain half-close ends them), writes are bounded by the
-/// server's write timeout.  `dead` is set when the peer is evicted, a
-/// write fails, or a response fails to serialize; the fd is closed by
-/// the acceptor after the handler returns.
-struct TcpConn {
-  TcpConn(int fd, int write_timeout_ms)
-      : in_buf(fd), out_buf(fd, write_timeout_ms, &dead),
+/// One client connection: requests arrive on `in_fd`, answers leave on
+/// `out_fd` — the same socket for an accepted TCP connection (non-
+/// blocking, reads wait forever until the drain half-close ends them,
+/// writes bounded by the server's write timeout), or starringd's stdin
+/// and stdout.  `dead` is set when the peer is evicted, a write fails,
+/// or a response fails to serialize; the owner closes the fds after the
+/// handler returns.
+struct Conn {
+  Conn(int in_fd, int out_fd, int write_timeout_ms)
+      : in_buf(in_fd), out_buf(out_fd, write_timeout_ms, &dead),
         in(&in_buf), out(&out_buf) {}
 
   /// Write one response under out_mu unless the connection is dead.  A
   /// response that fails to serialize (the io.write_response failpoint,
-  /// or a stream gone bad) hard-closes the socket, so the peer sees
-  /// EOF at once instead of burning its read timeout.
+  /// or a stream gone bad) counts as io.write_errors and hard-closes
+  /// the output, so the peer sees EOF at once instead of burning its
+  /// read timeout.
   void send(const ServiceResponse& resp);
 
   std::atomic<bool> dead{false};
@@ -119,7 +123,7 @@ struct AcceptorOptions {
 /// past that the process exits 1.  Returns once every handler is done.
 void run_acceptor(int listen_fd, const AcceptorOptions& opts,
                   const std::atomic<bool>& stop,
-                  const std::function<void(TcpConn&)>& serve,
+                  const std::function<void(Conn&)>& serve,
                   const std::function<void()>& on_stop = {});
 
 }  // namespace starring::cluster

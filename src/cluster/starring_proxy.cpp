@@ -663,7 +663,7 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
 /// serially (the proxy holds no embedding state, so per-request
 /// concurrency belongs to the client opening more connections, which is
 /// what starring-load does — one per tenant).
-void serve_client(TcpConn& conn, ProxyCtx& ctx, const CommandTable& table) {
+void serve_client(Conn& conn, ProxyCtx& ctx, const CommandTable& table) {
   UpstreamPool pool(ctx.cfg.upstream_timeout_ms,
                     ctx.cfg.server.write_timeout_ms);
   serve_requests(
@@ -968,7 +968,7 @@ int proxy_main(int argc, char** argv) {
   const CommandTable table = proxy_commands(ctx);
   run_acceptor(
       listen_fd, cfg->server, g_stop,
-      [&](TcpConn& conn) { serve_client(conn, ctx, table); },
+      [&](Conn& conn) { serve_client(conn, ctx, table); },
       [&] { drain_guard.emplace(cfg->server.drain_timeout_ms); });
   if (health.joinable()) {
     health_stop.store(true, std::memory_order_relaxed);

@@ -70,9 +70,10 @@ struct EmbedStats {
   std::int64_t backtracks = 0;
   int restarts = 0;
   int closure_attempts = 0;
-  /// Snapshot of the obs counters this embed call moved (sorted by
-  /// name): phase wall times, oracle cache hits/misses, threads used.
-  /// Empty unless the metrics layer is enabled (obs/metrics.hpp).
+  /// How far oracle.cache_hits and oracle.cache_misses moved during
+  /// the call.  The counters are process-wide, so a concurrent call's
+  /// probes count too.  Empty unless the metrics layer is enabled
+  /// (obs/metrics.hpp).
   std::vector<std::pair<std::string, std::int64_t>> counters;
 };
 

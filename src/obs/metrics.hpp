@@ -27,7 +27,7 @@
 namespace starring::obs {
 
 /// Ordered (name, value) view of the registry; the unit of exchange
-/// for EmbedStats::counters and the bench artifact writer.
+/// for snapshot_delta and the bench artifact writer.
 using Snapshot = std::vector<std::pair<std::string, std::int64_t>>;
 
 namespace detail {

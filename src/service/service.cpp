@@ -14,6 +14,11 @@ namespace starring {
 
 namespace {
 
+/// Distinct tenants tracked before new names collapse into the `other`
+/// bucket: tenant names become metric names, and the registry must not
+/// grow without bound on adversarial input.
+constexpr std::size_t kMaxTenants = 64;
+
 obs::Counter& c_requests() {
   static obs::Counter& c = obs::counter("svc.requests");
   return c;
@@ -93,7 +98,7 @@ EmbedService::TenantState& EmbedService::tenant_state(
   if (it == tenants_.end()) {
     // Cap the registry: tenant names become counter names, and an
     // adversarial client must not be able to grow it without bound.
-    if (tenants_.size() >= opts_.max_tenants && *key != kOther)
+    if (tenants_.size() >= kMaxTenants && *key != kOther)
       return tenant_state(kOther);
     const double burst = opts_.tenant_burst > 0
                              ? opts_.tenant_burst
@@ -108,21 +113,48 @@ EmbedService::TenantState& EmbedService::tenant_state(
   return *it->second;
 }
 
-bool EmbedService::quota_admit(TenantState& t,
-                               std::chrono::steady_clock::time_point now) {
-  if (opts_.tenant_rate <= 0) return true;  // quotas off
-  const double burst = opts_.tenant_burst > 0
-                           ? opts_.tenant_burst
-                           : std::max(1.0, opts_.tenant_rate);
-  const double dt =
-      std::chrono::duration<double>(now - t.last_refill).count();
-  if (dt > 0) {
-    t.tokens = std::min(burst, t.tokens + dt * opts_.tenant_rate);
-    t.last_refill = now;
+bool EmbedService::admit(Pending& p) {
+  TenantState& t = tenant_state(p.req.tenant);
+  t.requests.add();
+  if (opts_.tenant_rate > 0) {  // quotas on
+    const double burst = opts_.tenant_burst > 0
+                             ? opts_.tenant_burst
+                             : std::max(1.0, opts_.tenant_rate);
+    const auto now = std::chrono::steady_clock::now();
+    const double dt =
+        std::chrono::duration<double>(now - t.last_refill).count();
+    if (dt > 0) {
+      t.tokens = std::min(burst, t.tokens + dt * opts_.tenant_rate);
+      t.last_refill = now;
+    }
+    if (t.tokens < 1.0) {
+      t.throttled.add();
+      c_throttled().add();
+      return false;
+    }
+    t.tokens -= 1.0;
   }
-  if (t.tokens < 1.0) return false;
-  t.tokens -= 1.0;
+  p.tenant = &t;
+  inflight_.fetch_add(1, std::memory_order_relaxed);
+  c_requests().add();
   return true;
+}
+
+EmbedService::Pending::Pending(ServiceRequest r, Callback d)
+    : req(std::move(r)),
+      done(std::move(d)),
+      admitted(std::chrono::steady_clock::now()) {
+  if (req.deadline_ms > 0) {
+    deadline = admitted + std::chrono::milliseconds(req.deadline_ms);
+    has_deadline = true;
+  }
+  if (obs::trace::enabled()) {
+    // Adopt a propagated wire context so this request's spans land in
+    // the originator's trace; otherwise the request roots a new one.
+    span.trace_id =
+        req.trace_id != 0 ? req.trace_id : obs::trace::new_trace_id();
+    span.span_id = obs::trace::new_span_id();
+  }
 }
 
 EmbedService::EmbedService(ServiceOptions opts)
@@ -196,21 +228,7 @@ bool EmbedService::submit(ServiceRequest req, Callback on_done, bool wait) {
   // budget all cover the full submit-to-response interval the caller
   // experienced (a request that waited out its budget at admission is
   // shed unprocessed).
-  Pending p;
-  p.req = std::move(req);
-  p.done = std::move(on_done);
-  p.admitted = std::chrono::steady_clock::now();
-  if (p.req.deadline_ms > 0) {
-    p.deadline = p.admitted + std::chrono::milliseconds(p.req.deadline_ms);
-    p.has_deadline = true;
-  }
-  if (obs::trace::enabled()) {
-    // Adopt a propagated wire context so this request's spans land in
-    // the originator's trace; otherwise the request roots a new one.
-    p.span.trace_id = p.req.trace_id != 0 ? p.req.trace_id
-                                          : obs::trace::new_trace_id();
-    p.span.span_id = obs::trace::new_span_id();
-  }
+  Pending p(std::move(req), std::move(on_done));
   const obs::trace::Context root = p.span;
   const auto admitted_at = p.admitted;
   {
@@ -224,31 +242,16 @@ bool EmbedService::submit(ServiceRequest req, Callback on_done, bool wait) {
       c_rejected().add();
       return false;
     }
-    TenantState& t = tenant_state(p.req.tenant);
-    t.requests.add();
-    if (!quota_admit(t, std::chrono::steady_clock::now())) {
+    if (!admit(p)) {
       // Quota bounce: an immediate terminal response, not an enqueue.
-      // Delivered below outside the lock; returns true because the
-      // caller's request did reach a terminal status.
-      t.throttled.add();
-      c_throttled().add();
+      // Returns true because the caller's request did reach a terminal
+      // status.
       lock.unlock();
-      ServiceResponse r = throttled_response(p.req.id);
-      if (p.done) {
-        p.done(std::move(r));
-      } else {
-        {
-          const std::lock_guard<std::mutex> relock(mu_);
-          responses_.push_back(std::move(r));
-        }
-        resp_cv_.notify_all();
-      }
+      p.done(throttled_response(p.req.id));
       return true;
     }
-    p.tenant = &t;
-    t.queue.push_back(std::move(p));
+    p.tenant->queue.push_back(std::move(p));
     ++total_queued_;
-    inflight_.fetch_add(1, std::memory_order_relaxed);
     c_queue_depth_max().record_max(
         static_cast<std::int64_t>(total_queued_));
   }
@@ -260,19 +263,8 @@ bool EmbedService::submit(ServiceRequest req, Callback on_done, bool wait) {
                      root.span_id, admitted_at,
                      std::chrono::steady_clock::now());
   }
-  c_requests().add();
   work_cv_.notify_one();
   return true;
-}
-
-std::optional<ServiceResponse> EmbedService::next_response() {
-  std::unique_lock<std::mutex> lock(mu_);
-  resp_cv_.wait(lock,
-                [this] { return !responses_.empty() || stopped_; });
-  if (responses_.empty()) return std::nullopt;
-  ServiceResponse r = std::move(responses_.front());
-  responses_.pop_front();
-  return r;
 }
 
 void EmbedService::drain() {
@@ -291,8 +283,8 @@ std::vector<EmbedService::Pending> EmbedService::take_batch() {
   if (total_queued_ == 0) return batch;  // draining with nothing left
 
   // Deficit round robin over the tenant queues: cycle the tenants from
-  // the cursor, each backlogged tenant earning drr_quantum requests of
-  // service per visit, until the batch is full or no tenant can
+  // the cursor, each backlogged tenant earning one request of service
+  // per visit, until the batch is full or no tenant can
   // contribute.  The first selected request pins the batch's dimension
   // (compatible = same dimension: those requests share StarGraph
   // sizing, oracle working set, and — via canonical dedup — possibly
@@ -302,8 +294,6 @@ std::vector<EmbedService::Pending> EmbedService::take_batch() {
   // is compensated when a batch of its dimension forms.
   int n = -1;
   const std::size_t tenants = rr_order_.size();
-  const std::int64_t quantum =
-      static_cast<std::int64_t>(std::max<std::size_t>(1, opts_.drr_quantum));
   std::size_t last_served = rr_cursor_;
   bool progress = true;
   while (progress && batch.size() < opts_.batch_max) {
@@ -316,7 +306,7 @@ std::vector<EmbedService::Pending> EmbedService::take_batch() {
         t.deficit = 0;  // classic DRR: idle tenants accrue no credit
         continue;
       }
-      t.deficit += quantum;
+      ++t.deficit;
       while (t.deficit > 0 && batch.size() < opts_.batch_max) {
         auto it = t.queue.begin();
         if (n >= 0)
@@ -389,23 +379,13 @@ void EmbedService::deliver(Pending& p, ServiceResponse resp,
                      p.req.trace_id != 0 ? p.req.parent_span_id : 0,
                      p.admitted, now);
   inflight_.fetch_sub(1, std::memory_order_relaxed);
-  if (p.done) {
-    p.done(std::move(resp));
-  } else {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      responses_.push_back(std::move(resp));
-    }
-    resp_cv_.notify_all();
-  }
+  p.done(std::move(resp));
 }
 
 ServiceResponse EmbedService::finish(const ServiceRequest& req,
                                      const CanonicalForm& canon,
                                      const CanonicalRingCache::RingPtr& ring,
                                      bool cache_hit) {
-  if (req.n < 3 || req.n > kMaxN)
-    return error_response(req.id, "unsupported dimension");
   if (ring == nullptr)
     return error_response(
         req.id, "embedding failed (outside the guarantee regime?)");
@@ -468,7 +448,15 @@ void EmbedService::run_batch(std::vector<Pending> batch) {
     if (batch.empty()) return;
   }
 
+  // Batches are same-dimension, so one check covers the batch, ahead
+  // of canonicalize.
   const int n = batch.front().req.n;
+  if (n < 3 || n > kMaxN) {
+    for (Pending& p : batch)
+      deliver(p, error_response(p.req.id, "unsupported dimension"),
+              batch_start);
+    return;
+  }
   struct Slot {
     CanonicalForm canon;
     CanonicalRingCache::RingPtr ring;
@@ -533,17 +521,16 @@ void EmbedService::run_batch(std::vector<Pending> batch) {
 
     // Compute the distinct misses.  A single miss keeps the pipeline's
     // own data parallelism; several misses fan out one embedding per
-    // pool lane instead (nested regions run inline).  n < 3 has no
-    // embedding to compute; finish() reports it per request.
+    // pool lane instead (nested regions run inline).
     const unsigned threads = opts_.embed.effective_threads();
     try {
-      if (n >= 3 && compute.size() == 1) {
+      if (compute.size() == 1) {
         const obs::trace::ContextGuard as_request(
             batch[compute.front()].span);
         const obs::Scope scope("svc.embed");
         Slot& s = slots[compute.front()];
         s.ring = compute_canonical(n, s.canon, &cancels.front());
-      } else if (n >= 3 && !compute.empty()) {
+      } else if (!compute.empty()) {
         parallel_for(0, compute.size(), threads, [&](std::size_t k) {
           const obs::trace::ContextGuard as_request(batch[compute[k]].span);
           const obs::Scope scope("svc.embed");
@@ -621,86 +608,21 @@ void EmbedService::scheduler_loop() {
     if (batch.empty()) break;  // drained
     run_batch(std::move(batch));
   }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-  }
-  resp_cv_.notify_all();
 }
 
 ServiceResponse EmbedService::process_now(const ServiceRequest& req) {
-  // Synchronous path: the whole request is one scope, so the root and
-  // its children all come from plain Scope nesting.  The explicit
-  // parent context adopts a propagated wire trace (invalid when the
-  // request carried none — then this roots a fresh trace, as before).
-  const obs::Scope root("svc.request",
-                        obs::trace::Context{req.trace_id, req.parent_span_id});
-  struct InflightGuard {
-    std::atomic<std::uint64_t>& n;
-    explicit InflightGuard(std::atomic<std::uint64_t>& c) : n(c) {
-      n.fetch_add(1, std::memory_order_relaxed);
-    }
-    ~InflightGuard() { n.fetch_sub(1, std::memory_order_relaxed); }
-  } inflight_guard(inflight_);
-  c_requests().add();
-  const auto admitted = std::chrono::steady_clock::now();
-  // The synchronous path charges the same tenant buckets as the queue:
-  // process_now is not a quota bypass.
-  TenantState* tstate = nullptr;
+  // Admitted like submit() but never queued, so it also serves after
+  // drain(): the caller's thread runs the request as a batch of one.
+  ServiceResponse resp;
+  std::vector<Pending> batch;
+  batch.emplace_back(req, [&resp](ServiceResponse r) { resp = std::move(r); });
+  bool admitted = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    TenantState& t = tenant_state(req.tenant);
-    t.requests.add();
-    if (!quota_admit(t, admitted)) {
-      t.throttled.add();
-      c_throttled().add();
-      return throttled_response(req.id);
-    }
-    tstate = &t;
+    admitted = admit(batch.front());
   }
-  const bool budgeted = req.deadline_ms > 0;
-  const auto deadline =
-      admitted + std::chrono::milliseconds(budgeted ? req.deadline_ms : 0);
-  if (req.n < 3 || req.n > kMaxN)
-    return error_response(req.id, "unsupported dimension");
-  CanonicalForm canon;
-  {
-    const obs::Scope scope("svc.canonicalize");
-    canon = canonicalize(req.n, req.faults);
-  }
-  CanonicalRingCache::RingPtr ring;
-  {
-    const obs::Scope scope("svc.cache_probe");
-    ring = cache_.lookup(canon.key);
-  }
-  const bool hit = ring != nullptr;
-  (hit ? c_hits() : c_misses()).add();
-  if (hit) tstate->hits.add();
-  if (!hit) {
-    const obs::Scope scope("svc.embed");
-    std::atomic<bool> cancel{false};
-    const std::uint64_t watch =
-        budgeted ? watch_deadline(deadline, &cancel) : 0;
-    try {
-      ring = compute_canonical(req.n, canon, budgeted ? &cancel : nullptr);
-    } catch (...) {
-      if (watch != 0) unwatch(watch);
-      throw;
-    }
-    if (watch != 0) unwatch(watch);
-  }
-  ServiceResponse resp;
-  if (budgeted && std::chrono::steady_clock::now() >= deadline) {
-    c_timeouts().add();
-    resp = timeout_response(req.id, "deadline exceeded");
-  } else {
-    resp = finish(req, canon, ring, hit);
-  }
-  tstate->latency.record(std::chrono::steady_clock::now() - admitted);
-  if (resp.status == ServiceStatus::kOk)
-    tstate->ok.add();
-  else if (resp.status == ServiceStatus::kTimeout)
-    tstate->timeouts.add();
+  if (!admitted) return throttled_response(req.id);
+  run_batch(std::move(batch));
   return resp;
 }
 

@@ -19,9 +19,12 @@
 //
 // Computing only in the canonical frame makes responses deterministic:
 // a cache hit is bit-identical to what a fresh computation of the same
-// request would return.  Graceful drain: drain() stops admission,
-// everything already queued is processed and delivered, then
-// next_response() returns nullopt.
+// request would return.  Every answer leaves through the caller's
+// callback: submit() queues a request for the scheduler, process_now()
+// runs one as a batch of its own on the caller's thread, and both go
+// through the same admission and the same run_batch.  Graceful drain:
+// drain() stops admission, everything already queued is processed and
+// delivered, and destruction joins the scheduler.
 //
 // Observability (svc.* counters, emitted like every other area's):
 //   svc.requests / svc.rejected      admitted vs bounced at the queue
@@ -42,7 +45,7 @@
 // (tenant_rate / tenant_burst); an exhausted bucket answers `status
 // throttled` immediately.  Batch formation is deficit-round-robin over
 // per-tenant FIFO queues: each batch visits tenants in rotation,
-// granting drr_quantum requests of service per visit, so a tenant
+// granting one request of service per visit, so a tenant
 // flooding the queue cannot starve the others — a lightly loaded
 // tenant's requests ride the next batches regardless of how deep the
 // flooder's backlog is.  Batches stay same-dimension: the first
@@ -67,7 +70,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -100,14 +102,6 @@ struct ServiceOptions {
   /// Token-bucket depth (burst allowance); 0 defaults to
   /// max(1, tenant_rate).
   double tenant_burst = 0.0;
-  /// Requests of service a tenant earns per DRR visit at batch
-  /// formation (>= 1; higher values trade fairness granularity for
-  /// fewer cross-tenant switches inside a batch).
-  std::size_t drr_quantum = 1;
-  /// Distinct tenants tracked before new names collapse into the
-  /// `other` bucket (tenant names become metric names; the registry
-  /// must not grow without bound on adversarial input).
-  std::size_t max_tenants = 64;
   /// Knobs for the underlying Theorem-1 pipeline.
   EmbedOptions embed;
 };
@@ -123,24 +117,19 @@ class EmbedService {
 
   /// Admit a request.  With wait=true a full queue blocks the caller
   /// until space frees (backpressure); with wait=false it returns false
-  /// instead.  Returns false once drain() has begun.  A null on_done
-  /// routes the response to next_response(); otherwise on_done runs on
-  /// the scheduler thread.
-  bool submit(ServiceRequest req, Callback on_done = nullptr,
-              bool wait = true);
-
-  /// Block for the next completed callback-less response; nullopt once
-  /// the service has drained and every response was consumed.
-  std::optional<ServiceResponse> next_response();
+  /// instead.  Returns false once drain() has begun.  on_done (required)
+  /// runs on the scheduler thread, or on the caller's for a throttled
+  /// request.
+  bool submit(ServiceRequest req, Callback on_done, bool wait = true);
 
   /// Stop admitting; queued requests still complete.  Idempotent and
-  /// non-blocking — destruction (or a next_response() nullopt) marks
-  /// the drain finished.
+  /// non-blocking — destruction marks the drain finished.
   void drain();
 
-  /// Synchronous single request on the caller's thread, sharing the
-  /// cache and counters but bypassing queue and batcher.  For tests,
-  /// benches, and embedded callers.
+  /// One request on the caller's thread: admitted like submit() (tenant
+  /// quota, inflight) but never queued — it runs as a batch of one, so
+  /// it also works after drain().  For tests, benches, and embedded
+  /// callers.
   ServiceResponse process_now(const ServiceRequest& req);
 
   /// Pre-populate the canonical result cache with a known-good ring
@@ -168,6 +157,9 @@ class EmbedService {
   struct TenantState;
 
   struct Pending {
+    /// Stamps admission time, deadline and the root span context.
+    Pending(ServiceRequest r, Callback d);
+
     ServiceRequest req;
     Callback done;
     TenantState* tenant = nullptr;
@@ -221,14 +213,13 @@ class EmbedService {
   };
 
   /// Resolve (creating on first sight) the tenant bucket for a wire
-  /// name; "" maps to `default`, names beyond max_tenants collapse
+  /// name; "" maps to `default`, names beyond kMaxTenants collapse
   /// into `other`.  Caller holds mu_.
   TenantState& tenant_state(const std::string& name);
-  /// Charge one token from `t`'s bucket at `now`; false when the
-  /// bucket is exhausted (the request must be throttled).  Caller
-  /// holds mu_.
-  bool quota_admit(TenantState& t,
-                   std::chrono::steady_clock::time_point now);
+  /// Charge one token from the request's tenant bucket.  False (the
+  /// throttle counted) when the bucket is exhausted; true when `p` is
+  /// now in flight.  Caller holds mu_.
+  bool admit(Pending& p);
 
   void scheduler_loop();
   /// Pop up to batch_max same-dimension requests by deficit round
@@ -241,8 +232,8 @@ class EmbedService {
   CanonicalRingCache::RingPtr compute_canonical(
       int n, const CanonicalForm& canon,
       const std::atomic<bool>* cancel = nullptr);
-  /// Latency accounting, root-span emission, and response routing
-  /// (callback or next_response queue) for one finished request.
+  /// Latency accounting, root-span emission, and the callback for one
+  /// finished request.
   void deliver(Pending& p, ServiceResponse resp,
                std::chrono::steady_clock::time_point now);
 
@@ -268,7 +259,6 @@ class EmbedService {
   std::mutex mu_;
   std::condition_variable admit_cv_;  // submitters waiting for space
   std::condition_variable work_cv_;   // scheduler waiting for work
-  std::condition_variable resp_cv_;   // consumers waiting for responses
   /// Tenant buckets (stable addresses; Pending::tenant points here)
   /// and the round-robin visit order for DRR batch formation.
   std::unordered_map<std::string, std::unique_ptr<TenantState>> tenants_;
@@ -279,9 +269,7 @@ class EmbedService {
   /// Admitted-but-unanswered requests (queued + in flight), across the
   /// queued and synchronous paths; read lock-free by the HEALTH probe.
   std::atomic<std::uint64_t> inflight_{0};
-  std::deque<ServiceResponse> responses_;
   bool draining_ = false;
-  bool stopped_ = false;  // scheduler exited; no more responses coming
   std::thread scheduler_;
 
   struct Watch {

@@ -17,8 +17,9 @@
 //          bound, escalating laggards to a hard close.
 // Backpressure: the stdio reader blocks on a full queue, which stops
 // consuming the pipe — the OS pipe buffer then backpressures the
-// client.  TCP connections instead get `status rejected` responses so
-// remote callers can retry elsewhere.
+// client.  An unread stdout blocks the scheduler's answer write, so the
+// queue fills and the same stop follows.  TCP connections instead get
+// `status rejected` responses so remote callers can retry elsewhere.
 //
 // Slow-client defense (TCP): connection sockets are non-blocking and
 // every write polls POLLOUT with a --write-timeout-ms budget; a client
@@ -28,14 +29,16 @@
 // servicing it.  --max-conns caps concurrent connections; excess
 // accepts are answered `status rejected` and closed.
 //
-// Both transports read and write through util/net's fd streambufs —
-// stdio over STDIN_FILENO/STDOUT_FILENO rather than std::cin/std::cout.
-// A record is formatted into the output buffer and leaves at its flush:
-// one write(2) per answer, unless a ring outgrows the 64 KiB buffer.
+// Both transports are one cluster::Conn served by serve_connection:
+// stdio is a connection whose input fd is STDIN_FILENO and whose output
+// fd is STDOUT_FILENO (util/net's fd streambufs, not std::cin/std::cout).
+// Only admission differs.  A record is formatted into the output buffer
+// and leaves at its flush: one write(2) per answer, unless a ring
+// outgrows the 64 KiB buffer.
 //
 // All three serving paths (stdio, TCP, and starring-proxy's) run the
 // one server loop in cluster/server.hpp; this file supplies the shard's
-// command table and the per-transport embed hooks.
+// command table and the embed hook.
 //
 // Cluster membership (TCP + --shard-id only): the daemon runs a SWIM
 // gossip agent (cluster/membership.hpp) when started with --shard-map
@@ -141,8 +144,6 @@ int usage(const char* argv0) {
   --tenant-rate R      per-tenant token-bucket refill, req/s
                        (default 0 = quotas off)
   --tenant-burst B     token-bucket depth (default: max(1, R))
-  --drr-quantum N      requests per tenant per DRR visit at
-                       batch formation (default 1)
   --threads N          embedding worker threads (0 = cores)
   --listen PORT        serve TCP on 127.0.0.1:PORT (default: stdio;
                        0 = kernel-assigned, printed on stderr)
@@ -198,8 +199,6 @@ std::optional<DaemonConfig> parse_args(int argc, char** argv) {
       cfg.svc.tenant_rate = d;
     } else if (a == "--tenant-burst" && (d = real(&i)) >= 0) {
       cfg.svc.tenant_burst = d;
-    } else if (a == "--drr-quantum" && (v = num(&i)) > 0) {
-      cfg.svc.drr_quantum = static_cast<std::size_t>(v);
     } else if (a == "--threads" && (v = num(&i)) >= 0) {
       cfg.svc.embed.num_threads = static_cast<unsigned>(v);
     } else if (a == "--listen" && (v = num(&i)) >= 0 && v < 65536) {
@@ -276,68 +275,26 @@ cluster::CommandTable shard_commands(EmbedService& svc,
   return table;
 }
 
-// --- stdio transport --------------------------------------------------
+// --- the one connection handler -------------------------------------
 
-int serve_stdio(DaemonConfig& cfg) {
-  // Declared before the service: destroyed after it, so a signal-drain
-  // bound armed below covers the scheduler join in ~EmbedService.
-  std::optional<net::DrainGuard> drain_guard;
-  EmbedService svc(cfg.svc);
-  seed_service(svc, cfg);
-  // The fd streambufs every transport uses, not std::cin/std::cout:
-  // one buffered write(2) per record, and no cin-to-cout tie for the
-  // reader's input sentry to flush while the writer thread formats.
-  // A failed answer write ends stdio as it ends a TCP connection:
-  // io.write_errors counts it, stdout is released (its reader sees
-  // EOF), the reader stops at its next record, the queue drains into
-  // nothing, and the exit code is 1.
-  std::atomic<bool> dead{false};
-  net::FdInBuf in_buf(STDIN_FILENO);
-  net::FdOutBuf out_buf(STDOUT_FILENO, /*write_timeout_ms=*/-1, &dead);
-  std::istream in(&in_buf);
-  std::ostream out(&out_buf);
-  std::mutex out_mu;
-  std::thread writer([&] {
-    while (auto resp = svc.next_response()) {
-      const std::lock_guard<std::mutex> lock(out_mu);
-      if (dead.load()) continue;
-      if (!write_response(out, *resp)) {
-        obs::counter("io.write_errors").add();
-        out_buf.mark_dead();
-      }
-      out.flush();  // a failed write(2) counts and marks `dead` itself
-      if (dead.load()) g_stop.store(true);
-    }
-  });
-
-  // wait=true: a full queue stops the reader, and the pipe buffer
-  // backpressures the writer on the other side.
-  const bool clean = cluster::serve_requests(
-      in, out, out_mu, g_stop, shard_commands(svc, cfg, nullptr),
-      [&svc](ServiceRequest& req) { svc.submit(std::move(req)); });
-  // A clean EOF drain is allowed to take as long as the queue needs;
-  // a signal-initiated one is bounded.
-  if (g_stop.load()) drain_guard.emplace(cfg.server.drain_timeout_ms);
-  svc.drain();
-  writer.join();
-  if (dead.load())
-    std::cerr << "starringd: an answer write failed; answers dropped\n";
-  return clean && !dead.load() ? 0 : 1;
-}
-
-// --- TCP transport ----------------------------------------------------
-
-/// Embed hook for one TCP connection: non-blocking admission with a
-/// per-connection response callback.  Responses may complete out of
-/// submission order across batches; ids correlate them.  Returns once
-/// every admitted request has been answered (or dropped on a dead
-/// connection).
-void serve_connection(cluster::TcpConn& conn, EmbedService& svc,
-                      const cluster::CommandTable& table) {
+/// Serve one connection: commands answered inline, embed requests
+/// admitted to `svc` with a callback that writes the answer.  wait=true
+/// blocks the reader on a full queue (stdio: the pipe backpressures the
+/// client); wait=false answers `status rejected` (TCP: remote callers
+/// retry elsewhere).  Answers may complete out of submission order
+/// across batches; ids correlate them.  Reading ends at EOF, a framing
+/// error, a dead connection or once `stop` is set; the handler then
+/// returns when every admitted request has been answered (or dropped on
+/// a dead connection) — within `drain_timeout_ms` when `stop` ended it.
+/// Returns false on a framing error.
+bool serve_connection(cluster::Conn& conn, EmbedService& svc,
+                      const cluster::CommandTable& table, bool wait,
+                      const std::atomic<bool>* stop = nullptr,
+                      int drain_timeout_ms = 0) {
   std::condition_variable done_cv;
   std::mutex done_mu;
   int outstanding = 0;
-  cluster::serve_requests(
+  const bool clean = cluster::serve_requests(
       conn.in, conn.out, conn.out_mu, conn.dead, table,
       [&](ServiceRequest& req) {
         {
@@ -355,7 +312,7 @@ void serve_connection(cluster::TcpConn& conn, EmbedService& svc,
               --outstanding;
               done_cv.notify_all();
             },
-            /*wait=*/false);
+            wait);
         if (!admitted) {
           // Remote callers get an explicit bounce instead of a stalled
           // socket, so they can back off or retry elsewhere.
@@ -365,10 +322,34 @@ void serve_connection(cluster::TcpConn& conn, EmbedService& svc,
           const std::lock_guard<std::mutex> lock(done_mu);
           --outstanding;
         }
-      });
+      },
+      stop);
+  // A clean EOF drain is allowed to take as long as the queue needs;
+  // a signal-initiated one is bounded.
+  std::optional<net::DrainGuard> drain_guard;
+  if (stop != nullptr && stop->load()) drain_guard.emplace(drain_timeout_ms);
   std::unique_lock<std::mutex> lock(done_mu);
   done_cv.wait(lock, [&] { return outstanding == 0; });
+  return clean;
 }
+
+int serve_stdio(DaemonConfig& cfg) {
+  EmbedService svc(cfg.svc);
+  seed_service(svc, cfg);
+  // A failed answer write ends stdio as it ends a TCP connection:
+  // io.write_errors counts it, stdout is released (its reader sees
+  // EOF), the reader stops at its next record, the remaining answers
+  // are dropped, and the exit code is 1.
+  cluster::Conn conn(STDIN_FILENO, STDOUT_FILENO, /*write_timeout_ms=*/-1);
+  const bool clean =
+      serve_connection(conn, svc, shard_commands(svc, cfg, nullptr),
+                       /*wait=*/true, &g_stop, cfg.server.drain_timeout_ms);
+  if (conn.dead.load())
+    std::cerr << "starringd: an answer write failed; answers dropped\n";
+  return clean && !conn.dead.load() ? 0 : 1;
+}
+
+// --- TCP transport ----------------------------------------------------
 
 int serve_tcp(DaemonConfig& cfg) {
   int actual_port = 0;
@@ -412,7 +393,9 @@ int serve_tcp(DaemonConfig& cfg) {
   const cluster::CommandTable table = shard_commands(svc, cfg, agent.get());
   cluster::run_acceptor(
       listen_fd, cfg.server, g_stop,
-      [&](cluster::TcpConn& conn) { serve_connection(conn, svc, table); },
+      [&](cluster::Conn& conn) {
+        serve_connection(conn, svc, table, /*wait=*/false);
+      },
       [&] {
         // Depart politely on SIGTERM too (idempotent after a LEAVE
         // command): peers record `left` and drop us from their maps

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -208,6 +210,8 @@ TEST_F(Chaos, ServiceSurvivesAChaosStorm) {
   };
   std::vector<Spec> specs;
   const int kRequests = 60;
+  std::mutex got_mu;
+  std::condition_variable got_cv;
   std::map<std::uint64_t, ServiceResponse> got;
   {
     EmbedService svc(opts);
@@ -219,10 +223,21 @@ TEST_F(Chaos, ServiceSurvivesAChaosStorm) {
       r.verify = i % 4 == 0;
       if (i % 5 == 0) r.deadline_ms = 500;
       specs.push_back(std::move(s));
-      ASSERT_TRUE(svc.submit(std::move(r)));
+      ASSERT_TRUE(svc.submit(std::move(r), [&](ServiceResponse resp) {
+        const std::lock_guard<std::mutex> lock(got_mu);
+        got.emplace(resp.id, std::move(resp));
+        got_cv.notify_all();
+      }));
     }
     svc.drain();
-    while (auto r = svc.next_response()) got.emplace(r->id, std::move(*r));
+    {
+      // The service stays up for the sweep below, so wait for the
+      // answers rather than for its destruction.
+      std::unique_lock<std::mutex> lock(got_mu);
+      got_cv.wait_for(lock, std::chrono::seconds(60), [&] {
+        return got.size() == static_cast<std::size_t>(kRequests);
+      });
+    }
 
     ASSERT_EQ(got.size(), static_cast<std::size_t>(kRequests))
         << "every request must reach a terminal status";
@@ -296,19 +311,27 @@ TEST_F(Chaos, DrainUnderChaosDeliversEverything) {
   ASSERT_TRUE(failpoint::set("svc.batch=throw@every:2"));
   ServiceOptions opts;
   opts.batch_max = 2;
-  EmbedService svc(opts);
-  const StarGraph g(5);
   const int kRequests = 12;
-  for (int i = 0; i < kRequests; ++i) {
-    ASSERT_TRUE(svc.submit(
-        chaos_request(i, 5, random_vertex_faults(g, 1, /*seed=*/i))));
-  }
-  svc.drain();
+  std::mutex mu;
+  std::vector<ServiceResponse> answers;
+  {
+    EmbedService svc(opts);
+    const StarGraph g(5);
+    for (int i = 0; i < kRequests; ++i) {
+      ASSERT_TRUE(svc.submit(
+          chaos_request(i, 5, random_vertex_faults(g, 1, /*seed=*/i)),
+          [&](ServiceResponse r) {
+            const std::lock_guard<std::mutex> lock(mu);
+            answers.push_back(std::move(r));
+          }));
+    }
+    svc.drain();
+  }  // destruction joins the drain
   int terminal = 0;
-  while (auto r = svc.next_response()) {
-    EXPECT_TRUE(r->status == ServiceStatus::kOk ||
-                r->status == ServiceStatus::kError)
-        << "id=" << r->id;
+  for (const ServiceResponse& r : answers) {
+    EXPECT_TRUE(r.status == ServiceStatus::kOk ||
+                r.status == ServiceStatus::kError)
+        << "id=" << r.id;
     ++terminal;
   }
   EXPECT_EQ(terminal, kRequests);

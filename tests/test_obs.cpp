@@ -188,9 +188,7 @@ TEST(ObsMetrics, EmbedStatsCarryCounterSnapshot) {
       if (k == name) return v;
     return -1;
   };
-  EXPECT_EQ(find("embed.calls"), 1);
   EXPECT_GT(find("oracle.cache_misses") + find("oracle.cache_hits"), 0);
-  EXPECT_GT(find("phase.embed_ns"), 0);
 }
 
 TEST(ObsMetrics, OracleAndPoolCountersInSchema) {
@@ -344,12 +342,10 @@ TEST(ObsMetrics, ServiceCountersAfterBatchedRun) {
       r.id = i;
       r.n = 5;
       r.faults = faults;  // one canonical class: 1 miss, the rest hits
-      ASSERT_TRUE(svc.submit(std::move(r)));
+      ASSERT_TRUE(svc.submit(std::move(r), [](ServiceResponse) {}));
     }
     svc.drain();
-    while (svc.next_response()) {
-    }
-  }
+  }  // destruction joins the drain
   const auto value = [](const std::string& name) {
     return obs::counter(name).value();
   };

@@ -15,6 +15,7 @@
 #include <csignal>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -294,7 +295,7 @@ class AcceptorTest : public ::testing::Test {
     acceptor_ = std::thread([this, opts] {
       run_acceptor(
           listen_fd_, opts, stop_,
-          [this](TcpConn& conn) {
+          [this](Conn& conn) {
             serve_requests(conn.in, conn.out, conn.out_mu, conn.dead, table_,
                            [](ServiceRequest&) {});
           },
@@ -425,7 +426,7 @@ TEST_F(FdOutBufTest, APeerThatNeverReadsIsEvicted) {
   ::setsockopt(fds_[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof small);
   ::setsockopt(fds_[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof small);
   const std::int64_t before = obs::counter("svc.evicted_conns").value();
-  TcpConn conn(fds_[0], /*write_timeout_ms=*/50);
+  Conn conn(fds_[0], fds_[0], /*write_timeout_ms=*/50);
   const auto t0 = std::chrono::steady_clock::now();
   conn.send(ring_response(40320));  // an S_8 ring, ~230 KB
   EXPECT_TRUE(conn.dead);
@@ -440,7 +441,7 @@ TEST_F(FdOutBufTest, AClosedPeerIsAWriteError) {
   // As both daemons run: EPIPE comes back as an error, not a signal.
   const auto old = std::signal(SIGPIPE, SIG_IGN);
   const std::int64_t before = obs::counter("io.write_errors").value();
-  TcpConn conn(fds_[0], 1000);
+  Conn conn(fds_[0], fds_[0], 1000);
   conn.send(ring_response(16));
   std::signal(SIGPIPE, old);
   EXPECT_TRUE(conn.dead);
@@ -451,12 +452,14 @@ TEST_F(FdOutBufTest, AResponseThatFailsToSerializeSendsNothing) {
   if (!failpoint::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
   open_pair(SOCK_STREAM);
   ASSERT_TRUE(failpoint::set("io.write_response=error"));
-  TcpConn conn(fds_[0], 1000);
+  Conn conn(fds_[0], fds_[0], 1000);
   // Half a record already buffered, as a serializer that failed midway
   // leaves it: dropped with the buffer, never sent.
   conn.out << "starring-response v1\nid 5\n";
+  const std::int64_t before = obs::counter("io.write_errors").value();
   conn.send(ring_response(5040));
   EXPECT_TRUE(conn.dead);
+  EXPECT_EQ(obs::counter("io.write_errors").value(), before + 1);
   char byte = 0;
   EXPECT_EQ(::recv(fds_[1], &byte, 1, 0), 0);  // EOF, with zero bytes
 }
@@ -475,32 +478,73 @@ std::string starringd_path() {
   return path + "/src/service/starringd";
 }
 
+/// Spawn starringd over stdio with `args`: *to_child writes its stdin,
+/// *from_child reads its stdout; stderr goes to /dev/null.  Both pipes
+/// hold one page, so backpressure shows after a few dozen requests.
+pid_t spawn_stdio_daemon(std::vector<std::string> args, int* to_child,
+                         int* from_child) {
+  const std::string bin = starringd_path();
+  if (::access(bin.c_str(), X_OK) != 0) return -1;
+  int in[2];
+  int out[2];
+  if (::pipe2(in, O_CLOEXEC) != 0 || ::pipe2(out, O_CLOEXEC) != 0) return -1;
+  ::fcntl(in[1], F_SETPIPE_SZ, 4096);
+  ::fcntl(out[1], F_SETPIPE_SZ, 4096);
+  args.insert(args.begin(), bin);
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(in[0], STDIN_FILENO);
+    ::dup2(out[1], STDOUT_FILENO);
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    ::dup2(null_fd, STDERR_FILENO);
+    ::execv(bin.c_str(), argv.data());
+    std::_Exit(127);
+  }
+  ::close(in[0]);
+  ::close(out[1]);
+  *to_child = in[1];
+  *from_child = out[0];
+  return pid;
+}
+
+/// `pid`'s exit code once it exits within `ms`; otherwise (or on a
+/// signal) it is killed and the result is -1.
+int exit_code_within(pid_t pid, int ms) {
+  int status = 0;
+  for (int waited = 0; waited < ms; waited += 20) {
+    if (::waitpid(pid, &status, WNOHANG) == pid)
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, &status, 0);
+  return -1;
+}
+
+/// The peak resident set (VmHWM) of `pid` in KiB, or -1.
+long peak_rss_kib(pid_t pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  return -1;
+}
+
 TEST(StdioDaemon, AFailedAnswerWriteClosesStdoutAndExitsNonZero) {
   // A failed answer write must not pass silently: stdout is released
   // at once (its reader sees EOF, as a TCP peer would), the daemon
   // stops at its next record and exits 1 -- with stdin still open.
   if (!failpoint::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
-  const std::string bin = starringd_path();
-  ASSERT_EQ(::access(bin.c_str(), X_OK), 0) << bin;
-  int to_child[2];
-  int from_child[2];
-  ASSERT_EQ(::pipe2(to_child, O_CLOEXEC), 0);
-  ASSERT_EQ(::pipe2(from_child, O_CLOEXEC), 0);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::dup2(to_child[0], STDIN_FILENO);
-    ::dup2(from_child[1], STDOUT_FILENO);
-    const int null_fd = ::open("/dev/null", O_WRONLY);
-    ::dup2(null_fd, STDERR_FILENO);
-    ::execl(bin.c_str(), bin.c_str(), static_cast<char*>(nullptr));
-    std::_Exit(127);
-  }
-  ASSERT_GT(pid, 0);
-  ::close(to_child[0]);
-  ::close(from_child[1]);
+  int to_child = -1;
+  int from_child = -1;
+  const pid_t pid = spawn_stdio_daemon({}, &to_child, &from_child);
+  ASSERT_GT(pid, 0) << starringd_path();
   const auto old = std::signal(SIGPIPE, SIG_IGN);
   const auto send = [&](const std::string& text) {
-    return ::write(to_child[1], text.data(), text.size()) ==
+    return ::write(to_child, text.data(), text.size()) ==
            static_cast<ssize_t>(text.size());
   };
 
@@ -514,10 +558,10 @@ TEST(StdioDaemon, AFailedAnswerWriteClosesStdoutAndExitsNonZero) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (!eof && std::chrono::steady_clock::now() < deadline) {
-    pollfd pfd{from_child[0], POLLIN, 0};
+    pollfd pfd{from_child, POLLIN, 0};
     if (::poll(&pfd, 1, 100) <= 0) continue;
     char buf[4096];
-    const ssize_t k = ::read(from_child[0], buf, sizeof buf);
+    const ssize_t k = ::read(from_child, buf, sizeof buf);
     if (k > 0)
       got.append(buf, static_cast<std::size_t>(k));
     else
@@ -527,24 +571,81 @@ TEST(StdioDaemon, AFailedAnswerWriteClosesStdoutAndExitsNonZero) {
   EXPECT_EQ(got, "FAIL ok\n");
 
   EXPECT_TRUE(send("PING\n"));  // the reader stops after this record
-  int status = 0;
-  pid_t done = 0;
-  for (int waited = 0; done == 0 && waited < 20000; waited += 20) {
-    done = ::waitpid(pid, &status, WNOHANG);
-    if (done == 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  if (done == 0) {
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, &status, 0);
-    ADD_FAILURE() << "starringd kept running after its stdout died";
-  } else {
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 1);
-  }
+  EXPECT_EQ(exit_code_within(pid, 20000), 1)
+      << "starringd kept running after its stdout died";
   std::signal(SIGPIPE, old);
-  ::close(to_child[1]);
-  ::close(from_child[0]);
+  ::close(to_child);
+  ::close(from_child);
+}
+
+TEST(StdioDaemon, AnUnreadStdoutStopsStdinAndBoundsMemory) {
+  // A client that writes requests and never reads the answers: the
+  // answer write blocks, the 4-deep queue fills, and the reader stops
+  // consuming stdin, so the client's pipe backs up.  The daemon must
+  // not buffer the answers instead (about 40 KB per unread n=7 ring).
+  int to_child = -1;
+  int from_child = -1;
+  const pid_t pid = spawn_stdio_daemon(
+      {"--queue-depth", "4", "--threads", "1"}, &to_child, &from_child);
+  ASSERT_GT(pid, 0) << starringd_path();
+  const auto old = std::signal(SIGPIPE, SIG_IGN);
+  const auto record = [](std::uint64_t id) {
+    std::ostringstream os;
+    write_request(os, ServiceRequest{.id = id, .n = 7});
+    return os.str();
+  };
+  net::FdInBuf answers_buf(from_child, /*read_timeout_ms=*/30000);
+  std::istream answers(&answers_buf);
+
+  // One answered request first: the oracle and the cache are warm
+  // before the peak resident set is sampled.
+  const std::string first = record(1);
+  ASSERT_EQ(::write(to_child, first.data(), first.size()),
+            static_cast<ssize_t>(first.size()));
+  const auto warm = read_response(answers);
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_EQ(warm->status, ServiceStatus::kOk) << warm->reason;
+  const long base_kib = peak_rss_kib(pid);
+  ASSERT_GT(base_kib, 0);
+
+  // Flood until stdin stays full for a second.  A record is shorter
+  // than PIPE_BUF, so each non-blocking write is all or nothing.
+  ASSERT_EQ(::fcntl(to_child, F_SETFL, O_NONBLOCK), 0);
+  const int kCap = 1000;  // a reader that never stops takes all of them
+  int sent = 1;
+  bool stalled = false;
+  auto progress = std::chrono::steady_clock::now();
+  while (sent < kCap && !stalled) {
+    const std::string next = record(static_cast<std::uint64_t>(sent) + 1);
+    const ssize_t k = ::write(to_child, next.data(), next.size());
+    if (k == static_cast<ssize_t>(next.size())) {
+      ++sent;
+      progress = std::chrono::steady_clock::now();
+      continue;
+    }
+    ASSERT_TRUE(k < 0 && errno == EAGAIN) << "k=" << k;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stalled =
+        std::chrono::steady_clock::now() - progress > std::chrono::seconds(1);
+  }
+  const long peak_kib = peak_rss_kib(pid);
+  EXPECT_TRUE(stalled) << "stdin was still consumed after " << sent
+                       << " requests with stdout unread";
+  EXPECT_LT(peak_kib - base_kib, 16 * 1024)
+      << "peak RSS grew from " << base_kib << " KiB to " << peak_kib
+      << " KiB over " << sent << " unread answers";
+
+  // EOF, then read everything: nothing was lost to the backpressure.
+  ::close(to_child);
+  int answered = 1;
+  while (const auto r = read_response(answers)) {
+    EXPECT_EQ(r->status, ServiceStatus::kOk) << r->reason;
+    ++answered;
+  }
+  EXPECT_EQ(answered, sent);
+  EXPECT_EQ(exit_code_within(pid, 20000), 0);
+  std::signal(SIGPIPE, old);
+  ::close(from_child);
 }
 
 // --- strict numeric flags ----------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <map>
+#include <mutex>
 #include <random>
 #include <vector>
 
@@ -28,6 +29,20 @@ ServiceRequest make_request(std::uint64_t id, int n, FaultSet faults,
   r.verify = verify;
   return r;
 }
+
+/// Answers gathered from submit() callbacks, keyed by id.  Read them
+/// once the service is destroyed: destruction joins the drain.
+struct Collector {
+  std::mutex mu;
+  std::map<std::uint64_t, ServiceResponse> got;
+
+  EmbedService::Callback callback() {
+    return [this](ServiceResponse r) {
+      const std::lock_guard<std::mutex> lock(mu);
+      got.emplace(r.id, std::move(r));
+    };
+  }
+};
 
 TEST(EmbedService, ProcessNowHitIsBitIdentical) {
   const StarGraph g(6);
@@ -66,21 +81,24 @@ TEST(EmbedService, EquivalentRelabeledRequestsShareTheCache) {
   }
 }
 
-TEST(EmbedService, SubmitDrainNextResponse) {
+TEST(EmbedService, SubmitDrainAnswersEveryRequest) {
   const StarGraph g(5);
-  EmbedService svc;
+  Collector c;
   std::mt19937_64 rng(29);
   const int kRequests = 24;
-  for (int i = 0; i < kRequests; ++i) {
-    const int nf = static_cast<int>(rng() % 3);  // 0..2 = n-3
-    ASSERT_TRUE(svc.submit(
-        make_request(i, 5, random_vertex_faults(g, nf, rng()), true)));
+  {
+    EmbedService svc;
+    for (int i = 0; i < kRequests; ++i) {
+      const int nf = static_cast<int>(rng() % 3);  // 0..2 = n-3
+      ASSERT_TRUE(svc.submit(
+          make_request(i, 5, random_vertex_faults(g, nf, rng()), true),
+          c.callback()));
+    }
+    svc.drain();
+    EXPECT_FALSE(svc.submit(make_request(999, 5, FaultSet{}), c.callback()))
+        << "submit after drain must be refused";
   }
-  svc.drain();
-  EXPECT_FALSE(svc.submit(make_request(999, 5, FaultSet{})))
-      << "submit after drain must be refused";
-  std::map<std::uint64_t, ServiceResponse> got;
-  while (auto r = svc.next_response()) got.emplace(r->id, std::move(*r));
+  const auto& got = c.got;
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kRequests));
   for (const auto& [id, r] : got) {
     EXPECT_EQ(r.status, ServiceStatus::kOk) << "id=" << id << ": " << r.reason;
@@ -90,19 +108,19 @@ TEST(EmbedService, SubmitDrainNextResponse) {
 
 TEST(EmbedService, CallbacksRunForEveryRequest) {
   const StarGraph g(5);
-  EmbedService svc;
   std::atomic<int> done{0};
   std::atomic<int> ok{0};
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(svc.submit(
-        make_request(i, 5, random_vertex_faults(g, i % 3, i)),
-        [&](ServiceResponse r) {
-          done.fetch_add(1);
-          if (r.status == ServiceStatus::kOk) ok.fetch_add(1);
-        }));
-  }
-  svc.drain();
-  while (svc.next_response()) {
+  {
+    EmbedService svc;
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_TRUE(svc.submit(
+          make_request(i, 5, random_vertex_faults(g, i % 3, i)),
+          [&](ServiceResponse r) {
+            done.fetch_add(1);
+            if (r.status == ServiceStatus::kOk) ok.fetch_add(1);
+          }));
+    }
+    svc.drain();
   }
   EXPECT_EQ(done.load(), 16);
   EXPECT_EQ(ok.load(), 16);
@@ -110,17 +128,21 @@ TEST(EmbedService, CallbacksRunForEveryRequest) {
 
 TEST(EmbedService, MixedDimensionsBatchCorrectly) {
   // Batches are same-n; interleaved dimensions must still all complete.
-  EmbedService svc;
-  for (int i = 0; i < 18; ++i) {
-    const int n = 4 + i % 3;  // 4,5,6 interleaved
-    const StarGraph g(n);
-    ASSERT_TRUE(svc.submit(
-        make_request(i, n, random_vertex_faults(g, i % 2, i), true)));
+  Collector c;
+  {
+    EmbedService svc;
+    for (int i = 0; i < 18; ++i) {
+      const int n = 4 + i % 3;  // 4,5,6 interleaved
+      const StarGraph g(n);
+      ASSERT_TRUE(svc.submit(
+          make_request(i, n, random_vertex_faults(g, i % 2, i), true),
+          c.callback()));
+    }
+    svc.drain();
   }
-  svc.drain();
   int count = 0;
-  while (auto r = svc.next_response()) {
-    EXPECT_EQ(r->status, ServiceStatus::kOk) << r->reason;
+  for (const auto& [id, r] : c.got) {
+    EXPECT_EQ(r.status, ServiceStatus::kOk) << r.reason;
     ++count;
   }
   EXPECT_EQ(count, 18);
@@ -138,13 +160,10 @@ TEST(EmbedService, NonBlockingSubmitRejectsWhenFull) {
   bool rejected = false;
   for (int i = 0; i < 64 && !rejected; ++i) {
     const FaultSet faults = random_vertex_faults(g, 4, rng());
-    rejected = !svc.submit(make_request(i, 7, faults), nullptr,
-                           /*wait=*/false);
+    rejected = !svc.submit(make_request(i, 7, faults),
+                           [](ServiceResponse) {}, /*wait=*/false);
   }
   EXPECT_TRUE(rejected) << "a one-deep queue never filled under load";
-  svc.drain();
-  while (svc.next_response()) {
-  }
 }
 
 TEST(EmbedService, VerifyOnHitMarksResponsesVerified) {
@@ -214,21 +233,24 @@ TEST(EmbedServiceDeadline, ExpiredInQueueIsShedAsTimeout) {
   } cleaner;
   ServiceOptions opts;
   opts.batch_max = 1;
-  EmbedService svc(opts);
-  const StarGraph g7(7);
-  ASSERT_TRUE(svc.submit(
-      make_request(0, 7, random_vertex_faults(g7, 4, /*seed=*/5))));
-  const StarGraph g5(5);
+  Collector c;
   const int kDeadlined = 4;
-  for (int i = 1; i <= kDeadlined; ++i) {
-    ServiceRequest r =
-        make_request(i, 5, random_vertex_faults(g5, 1, /*seed=*/i));
-    r.deadline_ms = 1;
-    ASSERT_TRUE(svc.submit(std::move(r)));
+  {
+    EmbedService svc(opts);
+    const StarGraph g7(7);
+    ASSERT_TRUE(svc.submit(
+        make_request(0, 7, random_vertex_faults(g7, 4, /*seed=*/5)),
+        c.callback()));
+    const StarGraph g5(5);
+    for (int i = 1; i <= kDeadlined; ++i) {
+      ServiceRequest r =
+          make_request(i, 5, random_vertex_faults(g5, 1, /*seed=*/i));
+      r.deadline_ms = 1;
+      ASSERT_TRUE(svc.submit(std::move(r), c.callback()));
+    }
+    svc.drain();
   }
-  svc.drain();
-  std::map<std::uint64_t, ServiceResponse> got;
-  while (auto r = svc.next_response()) got.emplace(r->id, std::move(*r));
+  const auto& got = c.got;
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kDeadlined + 1))
       << "every request must reach a terminal status";
   EXPECT_EQ(got.at(0).status, ServiceStatus::kOk) << got.at(0).reason;
@@ -246,24 +268,28 @@ TEST(EmbedServiceDeadline, DrainStillAnswersExpiredRequests) {
   // expired entries become timeouts.
   ServiceOptions opts;
   opts.batch_max = 1;
-  EmbedService svc(opts);
-  const StarGraph g7(7);
-  ASSERT_TRUE(svc.submit(
-      make_request(0, 7, random_vertex_faults(g7, 4, /*seed=*/13))));
-  const StarGraph g5(5);
-  for (int i = 1; i <= 3; ++i) {
-    ServiceRequest r =
-        make_request(i, 5, random_vertex_faults(g5, 1, /*seed=*/40 + i));
-    r.deadline_ms = 1;
-    ASSERT_TRUE(svc.submit(std::move(r)));
+  Collector c;
+  {
+    EmbedService svc(opts);
+    const StarGraph g7(7);
+    ASSERT_TRUE(svc.submit(
+        make_request(0, 7, random_vertex_faults(g7, 4, /*seed=*/13)),
+        c.callback()));
+    const StarGraph g5(5);
+    for (int i = 1; i <= 3; ++i) {
+      ServiceRequest r =
+          make_request(i, 5, random_vertex_faults(g5, 1, /*seed=*/40 + i));
+      r.deadline_ms = 1;
+      ASSERT_TRUE(svc.submit(std::move(r), c.callback()));
+    }
+    svc.drain();  // immediately: deadlines expire during the drain
   }
-  svc.drain();  // immediately: deadlines expire during the drain
   int terminal = 0;
-  while (auto r = svc.next_response()) {
+  for (const auto& [id, r] : c.got) {
     ++terminal;
-    EXPECT_TRUE(r->status == ServiceStatus::kOk ||
-                r->status == ServiceStatus::kTimeout)
-        << "id=" << r->id << " status not terminal-clean: " << r->reason;
+    EXPECT_TRUE(r.status == ServiceStatus::kOk ||
+                r.status == ServiceStatus::kTimeout)
+        << "id=" << id << " status not terminal-clean: " << r.reason;
   }
   EXPECT_EQ(terminal, 4);
 }
@@ -311,17 +337,21 @@ TEST(EmbedServiceFailpoints, BatchThrowStillAnswersEveryRequest) {
   if (!failpoint::compiled_in())
     GTEST_SKIP() << "failpoints compiled out";
   ASSERT_TRUE(failpoint::set("svc.batch=throw@once"));
-  EmbedService svc;
-  const StarGraph g(5);
-  for (int i = 0; i < 6; ++i)
-    ASSERT_TRUE(svc.submit(
-        make_request(i, 5, random_vertex_faults(g, i % 3, i))));
-  svc.drain();
+  Collector c;
+  {
+    EmbedService svc;
+    const StarGraph g(5);
+    for (int i = 0; i < 6; ++i)
+      ASSERT_TRUE(svc.submit(
+          make_request(i, 5, random_vertex_faults(g, i % 3, i)),
+          c.callback()));
+    svc.drain();
+  }
   int count = 0;
-  while (auto r = svc.next_response()) {
+  for (const auto& [id, r] : c.got) {
     ++count;
-    EXPECT_TRUE(r->status == ServiceStatus::kOk ||
-                r->status == ServiceStatus::kError);
+    EXPECT_TRUE(r.status == ServiceStatus::kOk ||
+                r.status == ServiceStatus::kError);
   }
   failpoint::clear();
   EXPECT_EQ(count, 6) << "a thrown batch must still answer its callers";
@@ -471,20 +501,21 @@ TEST(EmbedServiceQoS, SubmittedThrottleIsDeliveredAsTerminalResponse) {
   ServiceOptions opts;
   opts.tenant_rate = 0.001;
   opts.tenant_burst = 1;
-  EmbedService svc(opts);
-  const StarGraph g(5);
   std::atomic<int> ok{0};
   std::atomic<int> throttled{0};
-  for (int i = 0; i < 3; ++i) {
-    ServiceRequest r = make_request(i, 5, random_vertex_faults(g, 1, i));
-    r.tenant = "burst1";
-    ASSERT_TRUE(svc.submit(std::move(r), [&](ServiceResponse resp) {
-      if (resp.status == ServiceStatus::kOk) ++ok;
-      if (resp.status == ServiceStatus::kThrottled) ++throttled;
-    })) << "a throttled submit still reached a terminal status";
-  }
-  svc.drain();
-  EXPECT_EQ(svc.next_response(), std::nullopt);  // joins the drain
+  {
+    EmbedService svc(opts);
+    const StarGraph g(5);
+    for (int i = 0; i < 3; ++i) {
+      ServiceRequest r = make_request(i, 5, random_vertex_faults(g, 1, i));
+      r.tenant = "burst1";
+      ASSERT_TRUE(svc.submit(std::move(r), [&](ServiceResponse resp) {
+        if (resp.status == ServiceStatus::kOk) ++ok;
+        if (resp.status == ServiceStatus::kThrottled) ++throttled;
+      })) << "a throttled submit still reached a terminal status";
+    }
+    svc.drain();
+  }  // destruction joins the drain
   EXPECT_EQ(ok.load(), 1);
   EXPECT_EQ(throttled.load(), 2);
 }
@@ -524,8 +555,7 @@ TEST(EmbedServiceQoS, DrrBoundsHeavyTenantProgressWhileLightFinishes) {
       }));
     }
     svc.drain();
-    EXPECT_EQ(svc.next_response(), std::nullopt);  // joins the drain
-  }
+  }  // destruction joins the drain
   failpoint::clear();
   EXPECT_EQ(light_done.load(), 4);
   EXPECT_EQ(heavy_done.load(), 40);
@@ -541,19 +571,19 @@ TEST(EmbedServiceQoS, TenantRegistryCollapsesBeyondMaxTenants) {
   ServiceOptions opts;
   opts.tenant_rate = 0.001;
   opts.tenant_burst = 1;  // 1 token per tenant bucket
-  opts.max_tenants = 4;
   EmbedService svc(opts);
   const StarGraph g(5);
   int throttled = 0;
-  // Distinct names beyond max_tenants share the `other` bucket: with 1
-  // token there, at most max_tenants + 1 of these can succeed however
-  // many names an adversary invents.
-  for (int i = 0; i < 12; ++i) {
+  // The registry tracks 64 tenants; distinct names beyond that share
+  // the `other` bucket: with 1 token there, at most 64 + 1 of these can
+  // succeed however many names an adversary invents.
+  const int kNames = 64 + 12;
+  for (int i = 0; i < kNames; ++i) {
     ServiceRequest r = make_request(i, 5, random_vertex_faults(g, 1, i));
     r.tenant = "spoof-" + std::to_string(i);
     if (svc.process_now(r).status == ServiceStatus::kThrottled) ++throttled;
   }
-  EXPECT_GE(throttled, 12 - 5);
+  EXPECT_GE(throttled, kNames - 65);
 }
 
 }  // namespace
