@@ -9,9 +9,10 @@
 // Shutdown/drain semantics:
 //   stdio: EOF on stdin stops admission; every queued request is still
 //          answered, stdout is flushed, exit 0.  A SIGINT/SIGTERM drain
-//          is bounded by --drain-timeout-ms (overrun aborts the
-//          process: a hung embedding must not wedge shutdown forever).
-//          A failed answer write drains the same way, exit 1.
+//          is bounded by --drain-timeout-ms from the signal on (overrun
+//          exits 1: a hung embedding, an idle stdin or an unread stdout
+//          must not wedge shutdown forever).  A failed answer write
+//          drains the same way, exit 1.
 //   TCP:   SIGINT/SIGTERM stops accepting, half-closes live
 //          connections (their reads see EOF), drains under the same
 //          bound, escalating laggards to a hard close.
@@ -82,11 +83,24 @@
 namespace starring {
 namespace {
 
-// Set by SIGINT/SIGTERM, a LEAVE command or a dead stdout.  A
-// lock-free atomic is safe to store from a signal handler.
+// Set by SIGINT/SIGTERM or a LEAVE command.  A lock-free atomic is
+// safe to store from a signal handler.
 std::atomic<bool> g_stop{false};
 static_assert(std::atomic<bool>::is_always_lock_free);
-void on_signal(int) { g_stop.store(true); }
+
+// Seconds a signal-initiated stdio drain may take (0 under TCP, whose
+// acceptor bounds its own drain).  The handler arms the bound itself:
+// with stdout unread, the reader is parked in admission and the
+// scheduler in an answer write, so no thread is left to notice a stop.
+volatile std::sig_atomic_t g_stdio_drain_s = 0;
+void on_signal(int) {
+  if (!g_stop.exchange(true) && g_stdio_drain_s > 0) ::alarm(g_stdio_drain_s);
+}
+void on_drain_overrun(int) {
+  static const char kMsg[] = "starringd: drain deadline exceeded, aborting\n";
+  (void)!::write(STDERR_FILENO, kMsg, sizeof kMsg - 1);
+  ::_exit(1);
+}
 
 // SIGUSR1 asks for a flight-recorder dump without stopping the daemon;
 // a watcher thread does the actual file I/O (signal-safe handlers
@@ -285,12 +299,10 @@ cluster::CommandTable shard_commands(EmbedService& svc,
 /// across batches; ids correlate them.  Reading ends at EOF, a framing
 /// error, a dead connection or once `stop` is set; the handler then
 /// returns when every admitted request has been answered (or dropped on
-/// a dead connection) — within `drain_timeout_ms` when `stop` ended it.
-/// Returns false on a framing error.
+/// a dead connection).  Returns false on a framing error.
 bool serve_connection(cluster::Conn& conn, EmbedService& svc,
                       const cluster::CommandTable& table, bool wait,
-                      const std::atomic<bool>* stop = nullptr,
-                      int drain_timeout_ms = 0) {
+                      const std::atomic<bool>* stop = nullptr) {
   std::condition_variable done_cv;
   std::mutex done_mu;
   int outstanding = 0;
@@ -324,16 +336,16 @@ bool serve_connection(cluster::Conn& conn, EmbedService& svc,
         }
       },
       stop);
-  // A clean EOF drain is allowed to take as long as the queue needs;
-  // a signal-initiated one is bounded.
-  std::optional<net::DrainGuard> drain_guard;
-  if (stop != nullptr && stop->load()) drain_guard.emplace(drain_timeout_ms);
   std::unique_lock<std::mutex> lock(done_mu);
   done_cv.wait(lock, [&] { return outstanding == 0; });
   return clean;
 }
 
 int serve_stdio(DaemonConfig& cfg) {
+  // A clean EOF drain is allowed to take as long as the queue needs;
+  // a signal-initiated one is bounded (rounded up to whole seconds).
+  std::signal(SIGALRM, on_drain_overrun);
+  g_stdio_drain_s = (cfg.server.drain_timeout_ms + 999) / 1000;
   EmbedService svc(cfg.svc);
   seed_service(svc, cfg);
   // A failed answer write ends stdio as it ends a TCP connection:
@@ -343,7 +355,8 @@ int serve_stdio(DaemonConfig& cfg) {
   cluster::Conn conn(STDIN_FILENO, STDOUT_FILENO, /*write_timeout_ms=*/-1);
   const bool clean =
       serve_connection(conn, svc, shard_commands(svc, cfg, nullptr),
-                       /*wait=*/true, &g_stop, cfg.server.drain_timeout_ms);
+                       /*wait=*/true, &g_stop);
+  ::alarm(0);  // every answer is out: the scheduler is idle
   if (conn.dead.load())
     std::cerr << "starringd: an answer write failed; answers dropped\n";
   return clean && !conn.dead.load() ? 0 : 1;

@@ -578,6 +578,39 @@ TEST(StdioDaemon, AFailedAnswerWriteClosesStdoutAndExitsNonZero) {
   ::close(from_child);
 }
 
+/// One n=7 request record.
+std::string n7_request(std::uint64_t id) {
+  std::ostringstream os;
+  write_request(os, ServiceRequest{.id = id, .n = 7});
+  return os.str();
+}
+
+/// Write n=7 requests with ids first_id, first_id + 1, ... to `fd` (made
+/// non-blocking) until it stays full for a second, or `cap` are written.
+/// Returns how many were written; *stalled tells which ending it was.
+/// A record is shorter than PIPE_BUF, so each write is all or nothing.
+int flood_until_stalled(int fd, std::uint64_t first_id, int cap,
+                        bool* stalled) {
+  ::fcntl(fd, F_SETFL, O_NONBLOCK);
+  int sent = 0;
+  *stalled = false;
+  auto progress = std::chrono::steady_clock::now();
+  while (sent < cap && !*stalled) {
+    const std::string next = n7_request(first_id + sent);
+    const ssize_t k = ::write(fd, next.data(), next.size());
+    if (k == static_cast<ssize_t>(next.size())) {
+      ++sent;
+      progress = std::chrono::steady_clock::now();
+      continue;
+    }
+    if (k >= 0 || errno != EAGAIN) break;  // a short write or a failure
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    *stalled =
+        std::chrono::steady_clock::now() - progress > std::chrono::seconds(1);
+  }
+  return sent;
+}
+
 TEST(StdioDaemon, AnUnreadStdoutStopsStdinAndBoundsMemory) {
   // A client that writes requests and never reads the answers: the
   // answer write blocks, the 4-deep queue fills, and the reader stops
@@ -589,17 +622,12 @@ TEST(StdioDaemon, AnUnreadStdoutStopsStdinAndBoundsMemory) {
       {"--queue-depth", "4", "--threads", "1"}, &to_child, &from_child);
   ASSERT_GT(pid, 0) << starringd_path();
   const auto old = std::signal(SIGPIPE, SIG_IGN);
-  const auto record = [](std::uint64_t id) {
-    std::ostringstream os;
-    write_request(os, ServiceRequest{.id = id, .n = 7});
-    return os.str();
-  };
   net::FdInBuf answers_buf(from_child, /*read_timeout_ms=*/30000);
   std::istream answers(&answers_buf);
 
   // One answered request first: the oracle and the cache are warm
   // before the peak resident set is sampled.
-  const std::string first = record(1);
+  const std::string first = n7_request(1);
   ASSERT_EQ(::write(to_child, first.data(), first.size()),
             static_cast<ssize_t>(first.size()));
   const auto warm = read_response(answers);
@@ -608,26 +636,9 @@ TEST(StdioDaemon, AnUnreadStdoutStopsStdinAndBoundsMemory) {
   const long base_kib = peak_rss_kib(pid);
   ASSERT_GT(base_kib, 0);
 
-  // Flood until stdin stays full for a second.  A record is shorter
-  // than PIPE_BUF, so each non-blocking write is all or nothing.
-  ASSERT_EQ(::fcntl(to_child, F_SETFL, O_NONBLOCK), 0);
-  const int kCap = 1000;  // a reader that never stops takes all of them
-  int sent = 1;
   bool stalled = false;
-  auto progress = std::chrono::steady_clock::now();
-  while (sent < kCap && !stalled) {
-    const std::string next = record(static_cast<std::uint64_t>(sent) + 1);
-    const ssize_t k = ::write(to_child, next.data(), next.size());
-    if (k == static_cast<ssize_t>(next.size())) {
-      ++sent;
-      progress = std::chrono::steady_clock::now();
-      continue;
-    }
-    ASSERT_TRUE(k < 0 && errno == EAGAIN) << "k=" << k;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    stalled =
-        std::chrono::steady_clock::now() - progress > std::chrono::seconds(1);
-  }
+  // A reader that never stops takes all 1000.
+  const int sent = 1 + flood_until_stalled(to_child, 2, 1000, &stalled);
   const long peak_kib = peak_rss_kib(pid);
   EXPECT_TRUE(stalled) << "stdin was still consumed after " << sent
                        << " requests with stdout unread";
@@ -645,6 +656,28 @@ TEST(StdioDaemon, AnUnreadStdoutStopsStdinAndBoundsMemory) {
   EXPECT_EQ(answered, sent);
   EXPECT_EQ(exit_code_within(pid, 20000), 0);
   std::signal(SIGPIPE, old);
+  ::close(from_child);
+}
+
+TEST(StdioDaemon, ASignalEndsAStalledDrainWithinItsBound) {
+  // With stdout unread, the reader waits in admission and the scheduler
+  // in an answer write; SIGTERM must still end the daemon within
+  // --drain-timeout-ms, exit 1, as for any drain that overran.
+  int to_child = -1;
+  int from_child = -1;
+  const pid_t pid = spawn_stdio_daemon(
+      {"--queue-depth", "4", "--threads", "1", "--drain-timeout-ms", "500"},
+      &to_child, &from_child);
+  ASSERT_GT(pid, 0) << starringd_path();
+  const auto old = std::signal(SIGPIPE, SIG_IGN);
+  bool stalled = false;
+  flood_until_stalled(to_child, 1, 1000, &stalled);
+  EXPECT_TRUE(stalled);
+  ::kill(pid, SIGTERM);
+  EXPECT_EQ(exit_code_within(pid, 10000), 1)
+      << "starringd outlived its drain bound";
+  std::signal(SIGPIPE, old);
+  ::close(to_child);
   ::close(from_child);
 }
 
